@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"nba/internal/bench"
+	"nba/internal/core"
 	"nba/internal/simtime"
 )
 
@@ -71,8 +72,8 @@ func BenchmarkHeadline(b *testing.B) {
 		name string
 		spec bench.RunSpec
 	}{
-		{"ipv4-64B-cpu", bench.RunSpec{App: "ipv4", LB: "cpu", Size: 64, OfferedBps: 10e9}},
-		{"ipsec-64B-gpu", bench.RunSpec{App: "ipsec", LB: "gpu", Size: 64, OfferedBps: 10e9}},
+		{"ipv4-64B-cpu", bench.RunSpec{App: "ipv4", LB: "cpu", Size: 64, Config: core.Config{OfferedBpsPerPort: 10e9}}},
+		{"ipsec-64B-gpu", bench.RunSpec{App: "ipsec", LB: "gpu", Size: 64, Config: core.Config{OfferedBpsPerPort: 10e9}}},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {

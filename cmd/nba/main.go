@@ -45,17 +45,18 @@ func main() {
 	flag.Parse()
 
 	spec := bench.RunSpec{
-		App:        *app,
-		LB:         *lbAlg,
-		Size:       *size,
-		OfferedBps: *gbps * 1e9,
-		Workers:    *workers,
-		Warmup:     simtime.Time(warmup.Nanoseconds()) * simtime.Nanosecond,
-		Duration:   simtime.Time(duration.Nanoseconds()) * simtime.Nanosecond,
-		Seed:       *seed,
+		App:  *app,
+		LB:   *lbAlg,
+		Size: *size,
+		Config: core.Config{
+			OfferedBpsPerPort: *gbps * 1e9,
+			WorkersPerSocket:  *workers,
+			Warmup:            simtime.Time(warmup.Nanoseconds()) * simtime.Nanosecond,
+			Duration:          simtime.Time(duration.Nanoseconds()) * simtime.Nanosecond,
+			Seed:              *seed,
+		},
 	}
 
-	var cfgText string
 	switch {
 	case *tenants != "":
 		ts, err := parseTenants(*tenants, *lbAlg, *size, *seed)
@@ -68,14 +69,8 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		cfgText = string(data)
-	case *app != "":
-		text, err := bench.AppConfig(*app, *lbAlg)
-		if err != nil {
-			fatal(err)
-		}
-		cfgText = text
-	default:
+		spec.GraphConfig = string(data)
+	case *app == "":
 		fmt.Fprintln(os.Stderr, "nba: need -config or -app")
 		flag.Usage()
 		os.Exit(2)
@@ -98,7 +93,7 @@ func main() {
 	if *pcapOut != "" {
 		spec.CaptureTx = 1000
 	}
-	r, err := bench.ExecuteConfig(cfgText, spec)
+	r, err := bench.Execute(spec)
 	if err != nil {
 		fatal(err)
 	}

@@ -9,25 +9,20 @@
 //
 //	nbatrace record -app ipv4 -lb cpu -gbps 1 -o run.jsonl
 //	nbatrace record -app ipsec -lb fixed=0.8 -chrome run.chrome.json -o run.jsonl
-//	nbatrace record -app ipsec -lb fixed=0.8 -faults -o outage.jsonl
-//	nbatrace record -app ipsec -lb fixed=0.8 -overload -o shed.jsonl
-//	nbatrace record -app ipsec -lb fixed=0.8 -corrupt -o corrupt.jsonl
 //	nbatrace record -tenants ipv4,ipsec -o mt.jsonl
-//	nbatrace record -tenants ipv4,ids -reconfig -o churn.jsonl
+//	nbatrace record -scenario ipsec_fixed08_faults -o outage.jsonl
+//	nbatrace scenarios
 //	nbatrace summary run.jsonl
 //	nbatrace diff a.jsonl b.jsonl
 //
-// -faults injects the canonical scripted GPU outage (internal/fault); the
-// plan is part of the run identity, so faulted recordings replay and diff
-// exactly like fault-free ones. -corrupt injects the canonical
-// silent-corruption window (device 0 flips bits from 1/4 to 1/2 of the run)
-// with the integrity sentinel armed at full sampling: the trace carries the
-// sentinel checks, mismatches, quarantines and device escalation, and the
-// summary gains an "integrity sentinels" section. -reconfig arms the
-// canonical tenant-churn
-// reconfiguration (internal/reconfig): a latent ipsec "churn" tenant is
-// admitted at 1/4 of the run, retuned at 1/2 and evicted at 3/4 through
-// epoch drain-and-handoff; the plan is likewise part of the run identity.
+// -scenario records one entry of the scenario list in internal/bench (the
+// runs the golden trace suite pins), which `nbatrace scenarios` prints. Its
+// armed entries inject the canonical GPU outage, an overload burst with
+// overload control armed, a silent-corruption window with the integrity
+// sentinel at full sampling, two co-resident tenants, or tenant churn
+// through the reconfiguration epoch protocol; fault and reconfig plans are
+// part of the run identity, so armed recordings replay and diff exactly like
+// plain ones. A scenario fixes the whole run, so it takes no other run flag.
 package main
 
 import (
@@ -39,10 +34,6 @@ import (
 
 	"nba/internal/bench"
 	"nba/internal/core"
-	"nba/internal/fault"
-	"nba/internal/integrity"
-	"nba/internal/overload"
-	"nba/internal/reconfig"
 	"nba/internal/simtime"
 	"nba/internal/trace"
 )
@@ -58,6 +49,10 @@ func main() {
 		summary(os.Args[2:])
 	case "diff":
 		diff(os.Args[2:])
+	case "scenarios":
+		for _, sc := range bench.Scenarios() {
+			fmt.Println(sc.Name)
+		}
 	default:
 		usage()
 	}
@@ -66,6 +61,7 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   nbatrace record [flags] -o <out.jsonl>   run a pipeline and record its trace
+  nbatrace scenarios                       list the names -scenario accepts
   nbatrace summary <trace.jsonl>           per-element / per-device profile
   nbatrace diff <a.jsonl> <b.jsonl>        first-divergence report`)
 	os.Exit(2)
@@ -84,10 +80,7 @@ func record(args []string) {
 		warmup   = fs.Duration("warmup", 200*time.Microsecond, "warmup (virtual)")
 		seed     = fs.Uint64("seed", 42, "simulation seed")
 		events   = fs.Int("events", 1<<16, "ring capacity: trace events retained for export")
-		faults   = fs.Bool("faults", false, "inject the canonical GPU outage (device 0 fails at 1/4 of the run, recovers at 1/2)")
-		corrupt  = fs.Bool("corrupt", false, "inject the canonical silent-corruption window (device 0 corrupts from 1/4 to 1/2 of the run) with the integrity sentinel armed")
-		overl    = fs.Bool("overload", false, "arm overload control and inject a sustained 2.5x load burst over the middle half of the run")
-		rc       = fs.Bool("reconfig", false, "arm the canonical tenant-churn reconfiguration (requires -tenants): admit a latent ipsec tenant at 1/4 of the run, retune at 1/2, evict at 3/4")
+		scenario = fs.String("scenario", "", "record a named scenario (see nbatrace scenarios) instead of a flag-built run")
 		out      = fs.String("o", "", "output JSONL path (required)")
 		chrome   = fs.String("chrome", "", "also export Chrome trace_event JSON to this path")
 	)
@@ -98,96 +91,53 @@ func record(args []string) {
 		os.Exit(2)
 	}
 
-	tr := trace.New(trace.Options{Capacity: *events})
 	spec := bench.RunSpec{
-		App:        *app,
-		LB:         *lbAlg,
-		Size:       *size,
-		OfferedBps: *gbps * 1e9,
-		Workers:    *workers,
-		Warmup:     simtime.Time(warmup.Nanoseconds()) * simtime.Nanosecond,
-		Duration:   simtime.Time(duration.Nanoseconds()) * simtime.Nanosecond,
-		Seed:       *seed,
-		Tracer:     tr,
+		App:  *app,
+		LB:   *lbAlg,
+		Size: *size,
+		Config: core.Config{
+			OfferedBpsPerPort: *gbps * 1e9,
+			WorkersPerSocket:  *workers,
+			Warmup:            simtime.Time(warmup.Nanoseconds()) * simtime.Nanosecond,
+			Duration:          simtime.Time(duration.Nanoseconds()) * simtime.Nanosecond,
+			Seed:              *seed,
+		},
 	}
-	if *tenants != "" {
-		// Tenant recordings carry every tenant's events on one timeline
-		// (each tagged with its tenant index), so multi-tenant runs diff
-		// and replay exactly like single-app ones.
-		for i, name := range strings.Split(*tenants, ",") {
-			name = strings.TrimSpace(name)
-			cfgText, err := bench.AppConfig(name, *lbAlg)
-			if err != nil {
-				fatal(err)
+	appLabel, label := *app, ""
+	switch {
+	case *scenario != "":
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "scenario", "events", "o", "chrome":
+			default:
+				fatal(fmt.Errorf("-%s cannot be combined with -scenario", f.Name))
 			}
-			spec.Tenants = append(spec.Tenants, core.Tenant{
-				Name:        name,
-				GraphConfig: cfgText,
-				Share:       1,
-				Generator:   bench.GeneratorFor(name, *size, *seed+1+uint64(i)),
-			})
-		}
-	}
-	if *rc {
-		// The reconfig plan is part of the run identity too: recording twice
-		// with -reconfig must still produce byte-identical traces, with the
-		// epoch begin/drain/commit protocol and the churned tenant's whole
-		// lifecycle (admit, retune, evict, digest seal) on the timeline.
-		if *tenants == "" {
-			fatal(fmt.Errorf("-reconfig requires -tenants (the churn plan admits a tenant into a running mix)"))
-		}
-		churnCfg, err := bench.AppConfig("ipsec", *lbAlg)
+		})
+		sc, err := bench.ScenarioByName(*scenario)
 		if err != nil {
 			fatal(err)
 		}
-		spec.LatentTenants = []core.Tenant{{
-			Name:        "churn",
-			GraphConfig: churnCfg,
-			Share:       1,
-			Generator:   bench.GeneratorFor("ipsec", *size, *seed+101),
-		}}
-		spec.Reconfig = reconfig.Churn(spec.Warmup+spec.Duration, "churn")
-	}
-	if *faults {
-		// The fault plan is part of the run identity: recording twice with
-		// -faults must still produce byte-identical traces, with the
-		// injected events and the framework's reactions (task failures, CPU
-		// fallbacks, balancer collapse) on the timeline.
-		span := spec.Warmup + spec.Duration
-		spec.FaultPlan = fault.GPUOutage(span/4, span/2, 0)
-	}
-	if *corrupt {
-		// Silent corruption with the sentinel armed: the corruption stream,
-		// sampling coins and escalation are all part of the run identity, so
-		// -corrupt recordings are byte-identical across records too.
-		if spec.FaultPlan != nil {
-			fatal(fmt.Errorf("-corrupt and -faults are mutually exclusive"))
+		spec, label = sc.Spec(), "scenario="+sc.Name
+	case *tenants != "":
+		// Tenant recordings carry every tenant's events on one timeline
+		// (each tagged with its tenant index), so multi-tenant runs diff
+		// and replay exactly like single-app ones.
+		ts, err := bench.AppTenants(strings.Split(strings.ReplaceAll(*tenants, " ", ""), ","), *lbAlg, *size, *seed)
+		if err != nil {
+			fatal(err)
 		}
-		span := spec.Warmup + spec.Duration
-		spec.FaultPlan = fault.Corruption(span/4, span/2, 0, 1, 0x5a)
-		spec.Integrity = &integrity.Config{SampleRate: 1}
+		spec.Tenants, appLabel = ts, "tenants:"+*tenants
 	}
-	if *overl {
-		// Overload control plus a sustained burst: the shed decisions, level
-		// transitions and bias updates are ordinary trace events, so armed
-		// recordings replay and diff exactly like the rest.
-		if spec.FaultPlan != nil {
-			fatal(fmt.Errorf("-overload and -faults/-corrupt are mutually exclusive"))
-		}
-		span := spec.Warmup + spec.Duration
-		spec.Overload = overload.Defaults()
-		spec.FaultPlan = &fault.Plan{Events: fault.Burst(span/4, span/2, 2.5)}
+	if label == "" {
+		label = fmt.Sprintf("app=%s lb=%s gbps=%g size=%d workers=%d seed=%d",
+			appLabel, *lbAlg, *gbps, *size, *workers, *seed)
 	}
+	tr := trace.New(trace.Options{Capacity: *events})
+	spec.Tracer = tr
 	if _, err := bench.Execute(spec); err != nil {
 		fatal(err)
 	}
 
-	appLabel := *app
-	if *tenants != "" {
-		appLabel = "tenants:" + *tenants
-	}
-	label := fmt.Sprintf("app=%s lb=%s gbps=%g size=%d workers=%d seed=%d faults=%v corrupt=%v overload=%v reconfig=%v",
-		appLabel, *lbAlg, *gbps, *size, *workers, *seed, *faults, *corrupt, *overl, *rc)
 	f, err := os.Create(*out)
 	if err != nil {
 		fatal(err)

@@ -12,18 +12,10 @@ import (
 	"sync/atomic"
 
 	"nba/internal/core"
-	"nba/internal/fault"
 	"nba/internal/gen"
-	"nba/internal/graph"
-	"nba/internal/integrity"
-	"nba/internal/invariant"
 	"nba/internal/netio"
-	"nba/internal/overload"
 	"nba/internal/packet"
-	"nba/internal/reconfig"
 	"nba/internal/simtime"
-	"nba/internal/sysinfo"
-	"nba/internal/trace"
 
 	"nba/internal/apps/ipv6"
 
@@ -67,11 +59,6 @@ type Experiment struct {
 var experiments []Experiment
 
 func register(e Experiment) { experiments = append(experiments, e) }
-
-// Register adds an externally-defined experiment. internal/perf uses it: the
-// perf-trajectory experiment drives internal/chaos, which itself imports
-// bench, so it cannot live in this package.
-func Register(e Experiment) { register(e) }
 
 // All returns every registered experiment, sorted by ID.
 func All() []Experiment {
@@ -167,114 +154,35 @@ func ipv6Dsts() []packet.IPv6Addr {
 	return cachedIPv6Dsts
 }
 
-// RunSpec describes one system run for the harness.
+// RunSpec describes one system run for the harness: a core.Config plus the
+// harness conveniences that fill it. Execute defaults what the embedded
+// Config leaves unset: the pipeline from App and LB, the generator from App,
+// Size and Seed, and a 5 ms warmup over a 25 ms measured span.
 type RunSpec struct {
-	App           string
-	LB            string  // LoadBalance parameter
-	Size          int     // frame bytes; <=0 = CAIDA mix
-	OfferedBps    float64 // per port
-	Workers       int     // per socket; 0 = max
-	CompBatch     int     // 0 = 64
-	IOBatch       int     // 0 = 64
-	Opts          *graph.Options
-	Warmup        simtime.Time
-	Duration      simtime.Time
-	ALBObserve    simtime.Time
-	ALBUpdate     simtime.Time
-	Topology      *sysinfo.Topology
-	CostModel     *sysinfo.CostModel
-	Seed          uint64
-	LatencySample int
-	// ForceRemote emulates remote-socket memory placement (NUMA ablation).
-	ForceRemote bool
-	// Generator overrides the standard generator (e.g. trace replay).
-	Generator netio.Generator
-	// LatencyBound switches adaptive balancing to the bounded-latency
-	// controller (paper §7 extension).
-	LatencyBound simtime.Time
-	// CaptureTx records the first N transmitted frames for pcap export.
-	CaptureTx int
-	// GeneratorChanges swap the traffic mix mid-run.
-	GeneratorChanges []core.GeneratorChange
-	// Tracer, when non-nil, records the run's structured event stream.
-	Tracer *trace.Tracer
-	// FaultPlan, when non-nil, injects the scripted fault timeline.
-	FaultPlan *fault.Plan
-	// TaskTimeout overrides the worker-side offload completion timeout
-	// (0 = framework default, negative = disabled).
-	TaskTimeout simtime.Time
-	// Overload, when non-nil, arms the overload-control subsystem
-	// (bounded device queue, backpressure, CoDel shedder, governor).
-	Overload *overload.Config
-	// Integrity, when non-nil, arms the silent-corruption sentinel
-	// (sampled re-execution, quarantine, device escalation).
-	Integrity *integrity.Config
-	// Checker, when non-nil, attaches the invariant oracle to the run.
-	Checker *invariant.Checker
-	// Tenants, when non-empty, co-hosts several app graphs as tenants on
-	// one system; App, LB, Size and Generator are then ignored (each
-	// tenant carries its own graph and generator).
-	Tenants []core.Tenant
-	// LatentTenants are admittable mid-run by the Reconfig plan; Reconfig,
-	// when non-nil, applies the scripted runtime-reconfiguration timeline
-	// (requires Tenants).
-	LatentTenants []core.Tenant
-	Reconfig      *reconfig.Plan
+	core.Config
+	App  string
+	LB   string // LoadBalance parameter
+	Size int    // frame bytes; <=0 = CAIDA mix
 }
 
 // Execute assembles and runs one system.
 func Execute(spec RunSpec) (*core.Report, error) {
-	if len(spec.Tenants) > 0 {
-		return ExecuteConfig("", spec)
+	cfg := spec.Config
+	if cfg.GraphConfig == "" && len(cfg.Tenants) == 0 {
+		text, err := AppConfig(spec.App, spec.LB)
+		if err != nil {
+			return nil, err
+		}
+		cfg.GraphConfig = text
 	}
-	cfgText, err := AppConfig(spec.App, spec.LB)
-	if err != nil {
-		return nil, err
+	if cfg.Warmup == 0 {
+		cfg.Warmup = 5 * simtime.Millisecond
 	}
-	return ExecuteConfig(cfgText, spec)
-}
-
-// ExecuteConfig runs an explicit pipeline text with the spec's workload.
-func ExecuteConfig(cfgText string, spec RunSpec) (*core.Report, error) {
-	if spec.Warmup == 0 {
-		spec.Warmup = 5 * simtime.Millisecond
+	if cfg.Duration == 0 {
+		cfg.Duration = 25 * simtime.Millisecond
 	}
-	if spec.Duration == 0 {
-		spec.Duration = 25 * simtime.Millisecond
-	}
-	generator := spec.Generator
-	if generator == nil && len(spec.Tenants) == 0 {
-		generator = GeneratorFor(spec.App, spec.Size, spec.Seed+1)
-	}
-	cfg := core.Config{
-		Topology:          spec.Topology,
-		CostModel:         spec.CostModel,
-		GraphConfig:       cfgText,
-		GraphOpts:         spec.Opts,
-		WorkersPerSocket:  spec.Workers,
-		Generator:         generator,
-		OfferedBpsPerPort: spec.OfferedBps,
-		IOBatchSize:       spec.IOBatch,
-		CompBatchSize:     spec.CompBatch,
-		Warmup:            spec.Warmup,
-		Duration:          spec.Duration,
-		Seed:              spec.Seed,
-		ALBObserve:        spec.ALBObserve,
-		ALBUpdate:         spec.ALBUpdate,
-		LatencySample:     spec.LatencySample,
-		ForceRemoteMemory: spec.ForceRemote,
-		ALBLatencyBound:   spec.LatencyBound,
-		CaptureTx:         spec.CaptureTx,
-		GeneratorChanges:  spec.GeneratorChanges,
-		Tracer:            spec.Tracer,
-		FaultPlan:         spec.FaultPlan,
-		TaskTimeout:       spec.TaskTimeout,
-		Overload:          spec.Overload,
-		Integrity:         spec.Integrity,
-		Checker:           spec.Checker,
-		Tenants:           spec.Tenants,
-		LatentTenants:     spec.LatentTenants,
-		Reconfig:          spec.Reconfig,
+	if cfg.Generator == nil && len(cfg.Tenants) == 0 {
+		cfg.Generator = GeneratorFor(spec.App, spec.Size, cfg.Seed+1)
 	}
 	sys, err := core.NewSystem(cfg)
 	if err != nil {
@@ -282,15 +190,15 @@ func ExecuteConfig(cfgText string, spec RunSpec) (*core.Report, error) {
 	}
 	rep, err := sys.Run()
 	if err == nil {
-		simAccount.Add(int64(spec.Warmup + spec.Duration))
+		simAccount.Add(int64(cfg.Warmup + cfg.Duration))
 	}
 	return rep, err
 }
 
-// simAccount accumulates the virtual time simulated by Execute/ExecuteConfig
+// simAccount accumulates the virtual time simulated by Execute
 // since the last ResetSimSeconds, atomically so concurrent grid points can
 // add to it. It feeds the sim-seconds-per-second trajectory metric reported
-// by the repository benchmarks and the perf snapshot (sums are commutative,
+// by the repository benchmarks (sums are commutative,
 // so the total stays deterministic under any parallelism).
 var simAccount atomic.Int64
 

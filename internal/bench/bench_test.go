@@ -48,16 +48,21 @@ func TestAllSorted(t *testing.T) {
 
 func TestAppConfigsParseAndBuild(t *testing.T) {
 	for _, app := range []string{"l2fwd", "echo", "ipv4", "ipv6", "ipsec", "ids"} {
-		cfgText, err := AppConfig(app, "cpu")
-		if err != nil {
-			t.Fatalf("AppConfig(%s): %v", app, err)
-		}
 		// A short run proves the configuration builds and executes.
-		spec := RunSpec{App: app, LB: "cpu", Size: 128, OfferedBps: 5e8,
-			Warmup: 200 * simtime.Microsecond, Duration: simtime.Millisecond, Seed: 1}
-		r, err := ExecuteConfig(cfgText, spec)
+		spec := RunSpec{
+			App:  app,
+			LB:   "cpu",
+			Size: 128,
+			Config: core.Config{
+				OfferedBpsPerPort: 5e8,
+				Warmup:            200 * simtime.Microsecond,
+				Duration:          simtime.Millisecond,
+				Seed:              1,
+			},
+		}
+		r, err := Execute(spec)
 		if err != nil {
-			t.Fatalf("ExecuteConfig(%s): %v", app, err)
+			t.Fatalf("Execute(%s): %v", app, err)
 		}
 		if r.TxGbps <= 0 {
 			t.Errorf("%s: zero throughput", app)
@@ -132,7 +137,7 @@ func TestFaultsScenario(t *testing.T) {
 	mk := func() (*core.Report, string) {
 		spec, _, _ := FaultsScenario(Options{Quick: true, Seed: 42})
 		spec.Topology = sysinfo.SingleSocketTopology(8, 2)
-		spec.Workers = 7
+		spec.WorkersPerSocket = 7
 		tr := trace.New(trace.Options{Capacity: 1 << 12})
 		spec.Tracer = tr
 		r, err := Execute(spec)

@@ -13,23 +13,13 @@ import (
 
 const offeredPerPort = 10e9 // the paper offers 80 Gbps over 8 ports
 
-// gridJob is one point of an experiment grid: an optional explicit pipeline
-// text (empty = derive it from spec.App/spec.LB) plus the run spec. Grid
-// points are fully independent simulations, so they can execute concurrently.
-type gridJob struct {
-	cfg  string
-	spec RunSpec
-}
-
 // runGrid executes independent grid points at the Options parallelism and
 // returns the reports in slot order, so callers print rows in grid order and
-// the experiment output is byte-identical at any worker count.
-func runGrid(o Options, jobs []gridJob) ([]*core.Report, error) {
+// the experiment output is byte-identical at any worker count. Grid points
+// are fully independent simulations, so they can execute concurrently.
+func runGrid(o Options, jobs []RunSpec) ([]*core.Report, error) {
 	return par.MapErr(len(jobs), o.workers(), func(i int) (*core.Report, error) {
-		if jobs[i].cfg == "" {
-			return Execute(jobs[i].spec)
-		}
-		return ExecuteConfig(jobs[i].cfg, jobs[i].spec)
+		return Execute(jobs[i])
 	})
 }
 
@@ -103,21 +93,29 @@ func branchConfig(minority float64) string {
 
 func runBranchSweep(o Options, w io.Writer, includeMask bool) error {
 	warm, dur := o.durations(5*simtime.Millisecond, 20*simtime.Millisecond)
-	base := RunSpec{App: "echo", LB: "cpu", Size: 64, OfferedBps: offeredPerPort,
-		Warmup: warm, Duration: dur, Seed: o.Seed}
+	base := RunSpec{
+		App:  "echo",
+		LB:   "cpu",
+		Size: 64,
+		Config: core.Config{
+			OfferedBpsPerPort: offeredPerPort,
+			Warmup:            warm,
+			Duration:          dur,
+			Seed:              o.Seed,
+		},
+	}
 	pcts := []int{50, 40, 30, 20, 10, 5, 1}
-	jobs := []gridJob{{spec: base}} // slot 0: branch-free baseline
+	jobs := []RunSpec{base} // slot 0: branch-free baseline
 	for _, pct := range pcts {
-		cfgText := branchConfig(float64(pct) / 100)
 		split := graph.Options{BranchPrediction: false, OffloadChaining: true}
 		spec := base
-		spec.Opts = &split
-		jobs = append(jobs, gridJob{cfg: cfgText, spec: spec})
+		spec.GraphConfig = branchConfig(float64(pct) / 100)
+		spec.GraphOpts = &split
+		jobs = append(jobs, spec)
 		if includeMask {
 			mask := graph.DefaultOptions()
-			spec := base
-			spec.Opts = &mask
-			jobs = append(jobs, gridJob{cfg: cfgText, spec: spec})
+			spec.GraphOpts = &mask
+			jobs = append(jobs, spec)
 		}
 	}
 	reps, err := runGrid(o, jobs)
@@ -152,13 +150,21 @@ func runFig10(o Options, w io.Writer) error { return runBranchSweep(o, w, true) 
 
 func runFig2(o Options, w io.Writer) error {
 	warm, dur := o.durations(5*simtime.Millisecond, 25*simtime.Millisecond)
-	var jobs []gridJob
+	var jobs []RunSpec
 	var fracs []int
 	for frac := 0; frac <= 100; frac += 10 {
 		fracs = append(fracs, frac)
-		jobs = append(jobs, gridJob{spec: RunSpec{
-			App: "ipsec", LB: fmt.Sprintf("fixed=%.2f", float64(frac)/100),
-			Size: -1, OfferedBps: offeredPerPort, Warmup: warm, Duration: dur, Seed: o.Seed}})
+		jobs = append(jobs, RunSpec{
+			App:  "ipsec",
+			LB:   fmt.Sprintf("fixed=%.2f", float64(frac)/100),
+			Size: -1,
+			Config: core.Config{
+				OfferedBpsPerPort: offeredPerPort,
+				Warmup:            warm,
+				Duration:          dur,
+				Seed:              o.Seed,
+			},
+		})
 	}
 	reps, err := runGrid(o, jobs)
 	if err != nil {
@@ -177,7 +183,7 @@ func runFig2(o Options, w io.Writer) error {
 
 func runComposition(o Options, w io.Writer) error {
 	warm, dur := o.durations(5*simtime.Millisecond, 25*simtime.Millisecond)
-	var jobs []gridJob
+	var jobs []RunSpec
 	var ks []int
 	for k := 0; k <= 27; k += 3 {
 		cfgText := "FromInput() "
@@ -186,9 +192,17 @@ func runComposition(o Options, w io.Writer) error {
 		}
 		cfgText += "-> EchoBack() -> ToOutput();"
 		ks = append(ks, k)
-		jobs = append(jobs, gridJob{cfg: cfgText, spec: RunSpec{
-			App: "echo", Size: 64, OfferedBps: 1e9 / 8, // 1 Gbps total
-			Warmup: warm, Duration: dur, Seed: o.Seed}})
+		jobs = append(jobs, RunSpec{
+			App:  "echo",
+			Size: 64,
+			Config: core.Config{
+				GraphConfig:       cfgText,
+				OfferedBpsPerPort: 1e9 / 8, // 1 Gbps total
+				Warmup:            warm,
+				Duration:          dur,
+				Seed:              o.Seed,
+			},
+		})
 	}
 	reps, err := runGrid(o, jobs)
 	if err != nil {
@@ -213,12 +227,21 @@ func runFig9(o Options, w io.Writer) error {
 		{"ipv4", 64}, {"ipv6", 64}, {"ipsec", 64}, {"ipsec", 1500},
 	}
 	batches := []int{1, 32, 64}
-	var jobs []gridJob
+	var jobs []RunSpec
 	for _, c := range cases {
 		for _, bs := range batches {
-			jobs = append(jobs, gridJob{spec: RunSpec{
-				App: c.app, LB: "cpu", Size: c.size, OfferedBps: offeredPerPort,
-				CompBatch: bs, Warmup: warm, Duration: dur, Seed: o.Seed}})
+			jobs = append(jobs, RunSpec{
+				App:  c.app,
+				LB:   "cpu",
+				Size: c.size,
+				Config: core.Config{
+					OfferedBpsPerPort: offeredPerPort,
+					CompBatchSize:     bs,
+					Warmup:            warm,
+					Duration:          dur,
+					Seed:              o.Seed,
+				},
+			})
 		}
 	}
 	reps, err := runGrid(o, jobs)
@@ -240,13 +263,22 @@ func runFig9(o Options, w io.Writer) error {
 func runFig11(o Options, w io.Writer) error {
 	warm, dur := o.durations(5*simtime.Millisecond, 20*simtime.Millisecond)
 	apps, modes, workerCounts := []string{"ipv4", "ipv6", "ipsec"}, []string{"cpu", "gpu"}, []int{1, 2, 4, 7}
-	var jobs []gridJob
+	var jobs []RunSpec
 	for _, app := range apps {
 		for _, mode := range modes {
 			for _, workers := range workerCounts {
-				jobs = append(jobs, gridJob{spec: RunSpec{
-					App: app, LB: mode, Size: 64, OfferedBps: offeredPerPort,
-					Workers: workers, Warmup: warm, Duration: dur, Seed: o.Seed}})
+				jobs = append(jobs, RunSpec{
+					App:  app,
+					LB:   mode,
+					Size: 64,
+					Config: core.Config{
+						OfferedBpsPerPort: offeredPerPort,
+						WorkersPerSocket:  workers,
+						Warmup:            warm,
+						Duration:          dur,
+						Seed:              o.Seed,
+					},
+				})
 			}
 		}
 	}
@@ -277,13 +309,21 @@ var fig12Sizes = []int{64, 128, 256, 512, 1024, 1500}
 func runFig12(o Options, w io.Writer) error {
 	warm, dur := o.durations(5*simtime.Millisecond, 20*simtime.Millisecond)
 	apps, modes := []string{"ipv4", "ipv6", "ipsec", "ids"}, []string{"cpu", "gpu"}
-	var jobs []gridJob
+	var jobs []RunSpec
 	for _, app := range apps {
 		for _, mode := range modes {
 			for _, size := range fig12Sizes {
-				jobs = append(jobs, gridJob{spec: RunSpec{
-					App: app, LB: mode, Size: size, OfferedBps: offeredPerPort,
-					Warmup: warm, Duration: dur, Seed: o.Seed}})
+				jobs = append(jobs, RunSpec{
+					App:  app,
+					LB:   mode,
+					Size: size,
+					Config: core.Config{
+						OfferedBpsPerPort: offeredPerPort,
+						Warmup:            warm,
+						Duration:          dur,
+						Seed:              o.Seed,
+					},
+				})
 			}
 		}
 	}
@@ -342,14 +382,22 @@ func runFig13(o Options, w io.Writer) error {
 	// flattened into a single grid (8 x 12 independent simulations).
 	const fracsPerCase = 11
 	const perCase = fracsPerCase + 1
-	var jobs []gridJob
+	var jobs []RunSpec
 	for _, c := range fig13Cases {
-		base := RunSpec{App: c.app, Size: c.size, OfferedBps: offeredPerPort,
-			Warmup: warm, Duration: dur, Seed: o.Seed}
+		base := RunSpec{
+			App:  c.app,
+			Size: c.size,
+			Config: core.Config{
+				OfferedBpsPerPort: offeredPerPort,
+				Warmup:            warm,
+				Duration:          dur,
+				Seed:              o.Seed,
+			},
+		}
 		for frac := 0; frac <= 100; frac += 10 {
 			spec := base
 			spec.LB = fmt.Sprintf("fixed=%.2f", float64(frac)/100)
-			jobs = append(jobs, gridJob{spec: spec})
+			jobs = append(jobs, spec)
 		}
 		alb := base
 		alb.LB = "adaptive"
@@ -357,7 +405,7 @@ func runFig13(o Options, w io.Writer) error {
 		alb.ALBObserve = 250 * simtime.Microsecond
 		alb.ALBUpdate = 1 * simtime.Millisecond
 		alb.LatencySample = 64
-		jobs = append(jobs, gridJob{spec: alb})
+		jobs = append(jobs, alb)
 	}
 	reps, err := runGrid(o, jobs)
 	if err != nil {
@@ -408,11 +456,19 @@ func runFig14(o Options, w io.Writer) error {
 		{"IPsec,64B gpu", "ipsec", 64, "gpu", 3e9},
 		{"IPsec,1024B gpu", "ipsec", 1024, "gpu", 3e9},
 	}
-	var jobs []gridJob
+	var jobs []RunSpec
 	for _, c := range cases {
-		jobs = append(jobs, gridJob{spec: RunSpec{
-			App: c.app, LB: c.mode, Size: c.size, OfferedBps: c.bps / 8,
-			Warmup: warm, Duration: dur, Seed: o.Seed}})
+		jobs = append(jobs, RunSpec{
+			App:  c.app,
+			LB:   c.mode,
+			Size: c.size,
+			Config: core.Config{
+				OfferedBpsPerPort: c.bps / 8,
+				Warmup:            warm,
+				Duration:          dur,
+				Seed:              o.Seed,
+			},
+		})
 	}
 	reps, err := runGrid(o, jobs)
 	if err != nil {
@@ -452,12 +508,21 @@ func runALBReconverge(o Options, w io.Writer) error {
 	if o.Quick {
 		phase = 60 * simtime.Millisecond
 	}
-	spec := RunSpec{App: "ipsec", LB: "adaptive", Size: 64, OfferedBps: offeredPerPort,
-		Warmup: warm, Duration: 2 * phase, Seed: o.Seed,
-		ALBObserve: 250 * simtime.Microsecond, ALBUpdate: simtime.Millisecond,
-		LatencySample: 64,
-		GeneratorChanges: []core.GeneratorChange{
-			{At: warm + phase, Generator: GeneratorFor("ipsec", 1024, o.Seed+1)},
+	spec := RunSpec{
+		App:  "ipsec",
+		LB:   "adaptive",
+		Size: 64,
+		Config: core.Config{
+			OfferedBpsPerPort: offeredPerPort,
+			Warmup:            warm,
+			Duration:          2 * phase,
+			Seed:              o.Seed,
+			ALBObserve:        250 * simtime.Microsecond,
+			ALBUpdate:         simtime.Millisecond,
+			LatencySample:     64,
+			GeneratorChanges: []core.GeneratorChange{
+				{At: warm + phase, Generator: GeneratorFor("ipsec", 1024, o.Seed+1)},
+			},
 		},
 	}
 	r, err := Execute(spec)

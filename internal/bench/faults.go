@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"nba/internal/core"
 
 	"nba/internal/fault"
 	"nba/internal/simtime"
@@ -33,16 +34,23 @@ func FaultsScenario(o Options) (spec RunSpec, failAt, recoverAt simtime.Time) {
 		recoverAt = 26 * simtime.Millisecond
 	}
 	spec = RunSpec{
-		App: "ipsec", LB: "adaptive", Size: 64, OfferedBps: offeredPerPort,
-		Warmup: warm, Duration: dur, Seed: o.Seed,
-		// A 2 ms control period fills the controller's 16-sample smoothing
-		// window every step; with shorter periods the boundary perturbations
-		// that escape the post-outage collapse are judged on too few
-		// batch-quantised samples.
-		ALBObserve:    250 * simtime.Microsecond,
-		ALBUpdate:     2 * simtime.Millisecond,
-		LatencySample: 64,
-		FaultPlan:     fault.GPUOutage(failAt, recoverAt, 0),
+		App:  "ipsec",
+		LB:   "adaptive",
+		Size: 64,
+		Config: core.Config{
+			OfferedBpsPerPort: offeredPerPort,
+			Warmup:            warm,
+			Duration:          dur,
+			Seed:              o.Seed,
+			// A 2 ms control period fills the controller's 16-sample smoothing
+			// window every step; with shorter periods the boundary perturbations
+			// that escape the post-outage collapse are judged on too few
+			// batch-quantised samples.
+			ALBObserve:    250 * simtime.Microsecond,
+			ALBUpdate:     2 * simtime.Millisecond,
+			LatencySample: 64,
+			FaultPlan:     fault.GPUOutage(failAt, recoverAt, 0),
+		},
 	}
 	return spec, failAt, recoverAt
 }

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"nba/internal/core"
 
 	"nba/internal/fault"
 	"nba/internal/integrity"
@@ -32,10 +33,17 @@ func IntegrityScenario(o Options, rate float64) (spec RunSpec, corruptAt, corrup
 	span := warm + dur
 	corruptAt, corruptUntil = span/4, span/2
 	spec = RunSpec{
-		App: "ipsec", LB: "fixed=0.8", Size: 64, OfferedBps: offeredPerPort,
-		Warmup: warm, Duration: dur, Seed: o.Seed,
-		FaultPlan: fault.Corruption(corruptAt, corruptUntil, 0, 1, 0x5a),
-		Integrity: &integrity.Config{SampleRate: rate},
+		App:  "ipsec",
+		LB:   "fixed=0.8",
+		Size: 64,
+		Config: core.Config{
+			OfferedBpsPerPort: offeredPerPort,
+			Warmup:            warm,
+			Duration:          dur,
+			Seed:              o.Seed,
+			FaultPlan:         fault.Corruption(corruptAt, corruptUntil, 0, 1, 0x5a),
+			Integrity:         &integrity.Config{SampleRate: rate},
+		},
 	}
 	return spec, corruptAt, corruptUntil
 }
@@ -46,14 +54,14 @@ func IntegrityScenario(o Options, rate float64) (spec RunSpec, corruptAt, corrup
 // the window opening to the first mismatch, quarantine volume, escalation).
 func runIntegrity(o Options, w io.Writer) error {
 	// Slots 2i are clean twins, 2i+1 the corrupted runs, all independent.
-	jobs := make([]gridJob, 0, 2*len(integritySampleRates))
+	jobs := make([]RunSpec, 0, 2*len(integritySampleRates))
 	var corruptAt, corruptUntil simtime.Time
 	for _, rate := range integritySampleRates {
 		spec, at, until := IntegrityScenario(o, rate)
 		corruptAt, corruptUntil = at, until
 		clean := spec
 		clean.FaultPlan = nil
-		jobs = append(jobs, gridJob{spec: clean}, gridJob{spec: spec})
+		jobs = append(jobs, clean, spec)
 	}
 	reps, err := runGrid(o, jobs)
 	if err != nil {

@@ -37,11 +37,17 @@ var overloadMults = []float64{0.5, 0.8, 1, 1.5, 2, 3}
 func overloadSpec(o Options, mult float64, shed bool) RunSpec {
 	warm, dur := o.durations(2*simtime.Millisecond, 20*simtime.Millisecond)
 	spec := RunSpec{
-		App: "ipsec", LB: "fixed=0.8", Size: 64,
-		OfferedBps: overloadBaseBps * mult,
-		Warmup:     warm, Duration: dur, Seed: o.Seed,
-		Topology:      sysinfo.SingleSocketTopology(4, 2),
-		LatencySample: 4,
+		App:  "ipsec",
+		LB:   "fixed=0.8",
+		Size: 64,
+		Config: core.Config{
+			OfferedBpsPerPort: overloadBaseBps * mult,
+			Warmup:            warm,
+			Duration:          dur,
+			Seed:              o.Seed,
+			Topology:          sysinfo.SingleSocketTopology(4, 2),
+			LatencySample:     4,
+		},
 	}
 	if shed {
 		// CoDel's convergence clock must fit the run: the default 500 us

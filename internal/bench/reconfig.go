@@ -41,13 +41,17 @@ func runReconfig(o Options, w io.Writer) error {
 			return RunSpec{}, err
 		}
 		spec := RunSpec{
-			Tenants:    ts,
-			OfferedBps: tenantBaseBps,
-			Warmup:     warm, Duration: dur, Seed: o.Seed,
-			Topology:      sysinfo.SingleSocketTopology(4, 2),
-			LatencySample: 4,
-			Checker:       invariant.New(),
-			Overload:      overload.Defaults(),
+			Config: core.Config{
+				Tenants:           ts,
+				OfferedBpsPerPort: tenantBaseBps,
+				Warmup:            warm,
+				Duration:          dur,
+				Seed:              o.Seed,
+				Topology:          sysinfo.SingleSocketTopology(4, 2),
+				LatencySample:     4,
+				Checker:           invariant.New(),
+				Overload:          overload.Defaults(),
+			},
 		}
 		if churn {
 			spec.LatentTenants = []core.Tenant{{

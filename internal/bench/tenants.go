@@ -30,33 +30,23 @@ var tenantApps = []string{"ipv4", "ipsec", "ipv6", "ids"}
 
 // tenantsFor builds an equal-share mix of the first n standard apps.
 func tenantsFor(n int, seed uint64) ([]core.Tenant, error) {
-	out := make([]core.Tenant, 0, n)
-	for i := 0; i < n; i++ {
-		app := tenantApps[i]
-		cfgText, err := AppConfig(app, "adaptive")
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, core.Tenant{
-			Name:        app,
-			GraphConfig: cfgText,
-			Share:       1,
-			Generator:   GeneratorFor(app, 64, seed+1+uint64(i)),
-		})
-	}
-	return out, nil
+	return AppTenants(tenantApps[:n], "adaptive", 64, seed)
 }
 
 // tenantSpec is one co-residency run on the canonical small socket.
 func tenantSpec(o Options, tenants []core.Tenant, armed bool) RunSpec {
 	warm, dur := o.durations(2*simtime.Millisecond, 20*simtime.Millisecond)
 	spec := RunSpec{
-		Tenants:    tenants,
-		OfferedBps: tenantBaseBps,
-		Warmup:     warm, Duration: dur, Seed: o.Seed,
-		Topology:      sysinfo.SingleSocketTopology(4, 2),
-		LatencySample: 4,
-		Checker:       invariant.New(),
+		Config: core.Config{
+			Tenants:           tenants,
+			OfferedBpsPerPort: tenantBaseBps,
+			Warmup:            warm,
+			Duration:          dur,
+			Seed:              o.Seed,
+			Topology:          sysinfo.SingleSocketTopology(4, 2),
+			LatencySample:     4,
+			Checker:           invariant.New(),
+		},
 	}
 	if armed {
 		spec.Overload = overload.Defaults()

@@ -17,20 +17,14 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden trace digests from the current code")
 
-// goldenSpec returns the canonical short run every golden trace pins: small
-// frame, one worker, modest load, fixed seed. Short enough that all eight
-// app×variant runs finish in well under a second each.
+// goldenSpec returns the canonical short scenario run for an app and
+// balancer (the ipv4_cpu-style entries of bench.Scenarios).
 func goldenSpec(app, lb string) bench.RunSpec {
-	return bench.RunSpec{
-		App:        app,
-		LB:         lb,
-		Size:       64,
-		OfferedBps: 1e9,
-		Workers:    1,
-		Warmup:     200 * simtime.Microsecond,
-		Duration:   2 * simtime.Millisecond,
-		Seed:       42,
+	sc, err := bench.ScenarioByName(app + "_" + strings.NewReplacer("=", "", ".", "").Replace(lb))
+	if err != nil {
+		panic(err)
 	}
+	return sc.Spec()
 }
 
 // runTraced executes the spec with a fresh tracer attached and returns it.
@@ -105,30 +99,15 @@ func readGolden(t *testing.T, name string) golden {
 	return g
 }
 
-// goldenCases is the canonical matrix: every sample app, CPU-only and
-// offloaded (fixed fraction, so the offload split is deterministic without a
-// controller transient).
-var goldenCases = []struct{ app, lb string }{
-	{"ipv4", "cpu"}, {"ipv4", "fixed=0.8"},
-	{"ipv6", "cpu"}, {"ipv6", "fixed=0.8"},
-	{"ipsec", "cpu"}, {"ipsec", "fixed=0.8"},
-	{"ids", "cpu"}, {"ids", "fixed=0.8"},
-}
-
-func caseName(app, lb string) string {
-	return app + "_" + strings.ReplaceAll(strings.ReplaceAll(lb, "=", ""), ".", "")
-}
-
-// TestGoldenTraces pins the trace digest of each canonical run. A failure
+// TestGoldenTraces pins the trace digest of every bench scenario. A failure
 // means the run's event stream changed: either a regression, or an
 // intentional behaviour change — in the latter case regenerate with -update
 // and explain the change in the commit.
 func TestGoldenTraces(t *testing.T) {
-	for _, c := range goldenCases {
-		c := c
-		t.Run(caseName(c.app, c.lb), func(t *testing.T) {
-			tr := runTraced(t, goldenSpec(c.app, c.lb))
-			name := caseName(c.app, c.lb)
+	for _, sc := range bench.Scenarios() {
+		t.Run(sc.Name, func(t *testing.T) {
+			tr := runTraced(t, sc.Spec())
+			name := sc.Name
 			if *update {
 				writeGolden(t, name, tr)
 				return
@@ -163,17 +142,19 @@ func TestGoldenTraces(t *testing.T) {
 
 // TestGoldenTracesUnchangedByEmptyReconfigPlan pins the reconfig disarm
 // contract at the golden layer: attaching an empty (non-nil) reconfig plan to
-// every canonical run must reproduce the committed golden digest
-// byte-identically — arming the subsystem without scripting any epoch may not
-// perturb the timeline at all.
+// every scenario without a plan of its own must reproduce the committed
+// golden digest byte-identically — arming the subsystem without scripting
+// any epoch may not perturb the timeline at all.
 func TestGoldenTracesUnchangedByEmptyReconfigPlan(t *testing.T) {
-	for _, c := range goldenCases {
-		c := c
-		t.Run(caseName(c.app, c.lb), func(t *testing.T) {
-			spec := goldenSpec(c.app, c.lb)
+	for _, sc := range bench.Scenarios() {
+		spec := sc.Spec()
+		if spec.Reconfig != nil {
+			continue
+		}
+		t.Run(sc.Name, func(t *testing.T) {
 			spec.Reconfig = &reconfig.Plan{}
 			tr := runTraced(t, spec)
-			g := readGolden(t, caseName(c.app, c.lb))
+			g := readGolden(t, sc.Name)
 			if tr.Digest() != g.Digest || tr.Total() != g.Total {
 				t.Errorf("empty reconfig plan perturbed the golden run:\n  got  %s (%d events)\n  want %s (%d events)",
 					tr.Digest(), tr.Total(), g.Digest, g.Total)

@@ -17,18 +17,13 @@
 #   5. go test -race ...  full test suite under the race detector
 #   6. fuzz smoke         a few seconds per fuzz target (conflang round-trip,
 #                         packet header parsing) to catch shallow regressions
-#   7. nbatrace self-check the same config+seed recorded twice must diff to
-#                         zero divergence (dynamic determinism gate):
-#                         fault-free, with the canonical injected GPU outage
-#                         (-faults), with the canonical silent-corruption
-#                         window and the integrity sentinel armed (-corrupt),
-#                         with overload control armed under a
-#                         sustained load burst (-overload), with two
-#                         co-resident tenant app graphs (-tenants: the merged
-#                         tenant-tagged timeline is part of the run identity),
-#                         and with the canonical tenant-churn reconfiguration
-#                         armed (-reconfig: epoch drain-and-handoff events are
-#                         part of the run identity too)
+#   7. nbatrace self-check every scenario in internal/bench (nbatrace
+#                         scenarios: the plain golden runs plus the armed ones
+#                         with a GPU outage, overload control under a load
+#                         burst, a silent-corruption window with the sentinel
+#                         armed, co-resident tenants and tenant churn) is
+#                         recorded twice and must diff to zero divergence
+#                         (dynamic determinism gate)
 #   8. chaos smoke        fixed-seed nbachaos sweeps (every app, a couple of
 #                         seeds; then 2-tenant co-residency with
 #                         tenant-targeted fault plans; then -reconfig cases
@@ -43,10 +38,6 @@
 #                         print byte-identical combined digests (internal/par
 #                         determinism contract; the tenant sweep also folds
 #                         every per-tenant sub-digest into the combined one)
-#  10. perf gate          opt-in via PERF_GATE=1: scripts/perf_gate.sh
-#                         compares a fresh quick-mode perf snapshot against
-#                         the newest committed BENCH_<date>.json (±15% on the
-#                         sim-seconds/sec headline)
 #
 # The race run doubles as the regression tripwire for future parallel-worker
 # PRs: the engine is single-threaded by design, so any data race is new code
@@ -90,33 +81,14 @@ go test -fuzz='^FuzzBuildUDP4$' -fuzztime=5s -run '^$' ./internal/packet
 echo "==> nbatrace determinism self-check"
 tracedir=$(mktemp -d)
 trap 'rm -rf "$tracedir"' EXIT
-go run ./cmd/nbatrace record -app ipv4 -lb fixed=0.8 -o "$tracedir/a.jsonl" >/dev/null
-go run ./cmd/nbatrace record -app ipv4 -lb fixed=0.8 -o "$tracedir/b.jsonl" >/dev/null
-go run ./cmd/nbatrace diff "$tracedir/a.jsonl" "$tracedir/b.jsonl"
-go run ./cmd/nbatrace record -app ipsec -lb fixed=0.8 -faults -o "$tracedir/fa.jsonl" >/dev/null
-go run ./cmd/nbatrace record -app ipsec -lb fixed=0.8 -faults -o "$tracedir/fb.jsonl" >/dev/null
-go run ./cmd/nbatrace diff "$tracedir/fa.jsonl" "$tracedir/fb.jsonl"
-go run ./cmd/nbatrace record -app ipsec -lb fixed=0.8 -gbps 3 -overload -o "$tracedir/oa.jsonl" >/dev/null
-go run ./cmd/nbatrace record -app ipsec -lb fixed=0.8 -gbps 3 -overload -o "$tracedir/ob.jsonl" >/dev/null
-go run ./cmd/nbatrace diff "$tracedir/oa.jsonl" "$tracedir/ob.jsonl"
-# Silent corruption with the integrity sentinel armed: the corruption stream,
-# sampling coins, quarantines and device escalation are all part of the run
-# identity, so -corrupt recordings must be byte-identical too.
-go run ./cmd/nbatrace record -app ipsec -lb fixed=0.8 -corrupt -o "$tracedir/ca.jsonl" >/dev/null
-go run ./cmd/nbatrace record -app ipsec -lb fixed=0.8 -corrupt -o "$tracedir/cb.jsonl" >/dev/null
-go run ./cmd/nbatrace diff "$tracedir/ca.jsonl" "$tracedir/cb.jsonl"
-# Multi-tenant: two co-resident app graphs share the workers and queues;
-# the merged timeline (every event tagged with its tenant) must still be
-# byte-identical across recordings.
-go run ./cmd/nbatrace record -tenants ipv4,ipsec -o "$tracedir/ta.jsonl" >/dev/null
-go run ./cmd/nbatrace record -tenants ipv4,ipsec -o "$tracedir/tb.jsonl" >/dev/null
-go run ./cmd/nbatrace diff "$tracedir/ta.jsonl" "$tracedir/tb.jsonl"
-# Runtime reconfiguration: the canonical churn plan (admit/retune/evict via
-# epoch drain-and-handoff) is part of the run identity, so armed recordings
-# must also be byte-identical across recordings.
-go run ./cmd/nbatrace record -tenants ipv4,ids -reconfig -o "$tracedir/ra.jsonl" >/dev/null
-go run ./cmd/nbatrace record -tenants ipv4,ids -reconfig -o "$tracedir/rb.jsonl" >/dev/null
-go run ./cmd/nbatrace diff "$tracedir/ra.jsonl" "$tracedir/rb.jsonl"
+go build -o "$tracedir/nbatrace" ./cmd/nbatrace
+scenarios=$("$tracedir/nbatrace" scenarios)
+for sc in $scenarios; do
+    "$tracedir/nbatrace" record -scenario "$sc" -o "$tracedir/a.jsonl" >/dev/null
+    "$tracedir/nbatrace" record -scenario "$sc" -o "$tracedir/b.jsonl" >/dev/null
+    echo -n "$sc: "
+    "$tracedir/nbatrace" diff "$tracedir/a.jsonl" "$tracedir/b.jsonl"
+done
 
 echo "==> chaos smoke (fixed-seed fault sweep under the invariant oracle)"
 go run ./cmd/nbachaos sweep -seeds 2 -base 1
@@ -171,12 +143,5 @@ if [[ "$t1" != "$t8" ]]; then
     exit 1
 fi
 echo "tenant chaos digest stable at parallelism 1 and 8: $t1"
-
-if [[ "${PERF_GATE:-0}" == "1" ]]; then
-    echo "==> perf gate (PERF_GATE=1: sim-sec/s vs committed BENCH_*.json baseline)"
-    scripts/perf_gate.sh
-else
-    echo "==> perf gate skipped (set PERF_GATE=1 to compare against the committed baseline)"
-fi
 
 echo "check.sh: all gates passed"
