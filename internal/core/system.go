@@ -18,66 +18,48 @@ import (
 	"nba/internal/rng"
 	"nba/internal/sched"
 	"nba/internal/simtime"
-	"nba/internal/stats"
 	"nba/internal/trace"
 )
 
-// System is one assembled NBA instance on the virtual clock. It hosts one or
-// more tenant app graphs on the same workers, NIC queues and devices; the
-// classic single-app configuration is the one-tenant special case and runs
-// bit-identically to the pre-tenancy code.
+// System is one assembled NBA instance on the virtual clock: the datapath
+// (devices, NIC ports, workers with one lane per tenant) and the composition
+// that wires the control loops to it. It hosts one or more tenant app graphs
+// on the same workers, NIC queues and devices; the classic single-app
+// configuration is the one-tenant special case and runs bit-identically to
+// the pre-tenancy code.
 type System struct {
 	cfg Config
 	eng *simtime.Engine
 
-	// tenants is the resolved tenant set: the configured Tenants slice, or
-	// one implicit tenant (Name "") synthesized from GraphConfig/Generator.
-	tenants   []Tenant
-	shareFrac []float64 // tenant Share normalised to fractions
+	// tenants is grow-only: an evicted tenant's slot, lanes and queues stay
+	// in place (inactive) so tenant-major indexing never shifts; an
+	// admitted tenant appends.
+	tenants []tenantSlot
+	// latent are the tenants a reconfig plan may admit, parsed and
+	// trial-built at construction.
+	latent    map[string]parsedTenant
 	placement sched.PlacementPolicy
 
 	ports      []*netio.Port
 	devices    []*gpu.Device          // parallel to cfg.Topology.Devices
+	devPlugged []bool                 // parallel to devices; all true without a plan
 	workers    []*worker              // socket-major
 	nodeLocals [][]*element.NodeLocal // [socket][tenant]: isolates shared element state per tenant
 	// controllers / governors are per (socket, tenant): each tenant gets
 	// its own ALB control loop and degradation governor so one tenant's
 	// congestion escalates trim → bias → shed for that tenant alone.
 	controllers [][]*lb.Controller
-	governors   [][]*overload.Governor // empty when Overload is nil
+	governors   [][]*overload.Governor // nil when Overload is nil
 
-	parsed []*conflang.Config // per tenant
-
-	// Runtime-reconfiguration state. Tenant slots are grow-only: an evicted
-	// tenant's lanes and queues stay in place (inactive) so tenant-major
-	// indexing never shifts; an admitted tenant appends at len(tenants).
-	tstate       []tenantLifecycle
-	devPlugged   []bool // parallel to devices; all true without a plan
-	latentIdx    map[string]int
-	latentParsed []*conflang.Config
-	rcEvents     []reconfig.Event // sorted, At <= stopTime
-	rcNext       int
-	rcActive     bool
-	rcEpoch      int
-	rcBegin      simtime.Time
-	rcEv         reconfig.Event
-	rcRescued    int
-	rcForced     bool
-	rcOrphaned   bool
-	rcPollFn     func()
-
-	// Integrity escalation state (nil/zero when cfg.Integrity is nil).
-	integrityTracker *integrity.Tracker
-	mismatchSeen     bool
-	firstMismatchAt  simtime.Time
+	integrity *integrity.Tracker // nil when cfg.Integrity is nil
+	reconfig  *reconfig.Driver
 
 	stopTime  simtime.Time // warmup + duration
 	measuring bool
 
-	// Current offered-load state, composed by rate changes, generator
-	// changes and fault-injected rate bursts (factor over the nominal rate).
+	// Current offered-load state, composed by rate changes and
+	// fault-injected rate bursts (factor over the nominal rate).
 	curBps     float64
-	curGens    []netio.Generator // per tenant
 	rateFactor float64
 
 	tailMarkBytes []uint64
@@ -87,14 +69,23 @@ type System struct {
 	captured []netio.CapturedPacket
 }
 
-// tenantLifecycle is one tenant slot's runtime state under the epoch
-// protocol. Tenants present at construction are active from time 0; latent
-// tenants only get a slot when admitted.
-type tenantLifecycle struct {
+// tenantSlot is one tenant's configuration plus its live state.
+type tenantSlot struct {
+	Tenant
+	share float64         // live weight: the configured Share until a retune
+	frac  float64         // share normalised over the active tenants
+	gen   netio.Generator // current generator (GeneratorChanges swap it)
+
 	active    bool
 	admitted  simtime.Time
 	evicted   bool
 	evictedAt simtime.Time
+}
+
+// parsedTenant is a tenant with its parsed pipeline.
+type parsedTenant struct {
+	Tenant
+	parsed *conflang.Config
 }
 
 // errNoPluggedDevice reports that placement resolved to a socket whose every
@@ -107,8 +98,20 @@ func NewSystem(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &System{cfg: cfg, eng: simtime.NewEngine(), placement: cfg.Placement}
-	s.stopTime = cfg.Warmup + cfg.Duration
+	top := cfg.Topology
+	s := &System{
+		cfg:           cfg,
+		eng:           simtime.NewEngine(),
+		placement:     cfg.Placement,
+		stopTime:      cfg.Warmup + cfg.Duration,
+		curBps:        cfg.OfferedBpsPerPort,
+		rateFactor:    1,
+		tailMarkBytes: make([]uint64, len(top.Ports)),
+		tailEndBytes:  make([]uint64, len(top.Ports)),
+		nodeLocals:    make([][]*element.NodeLocal, top.Sockets),
+		controllers:   make([][]*lb.Controller, top.Sockets),
+		latent:        make(map[string]parsedTenant, len(cfg.LatentTenants)),
+	}
 	if tr, ck := cfg.Tracer, cfg.Checker; tr != nil || ck != nil {
 		s.eng.OnFire = func(at simtime.Time, fired uint64) {
 			if tr != nil {
@@ -117,46 +120,25 @@ func NewSystem(cfg Config) (*System, error) {
 			ck.OnDispatch(at)
 		}
 	}
-	s.tailMarkBytes = make([]uint64, len(cfg.Topology.Ports))
-	s.tailEndBytes = make([]uint64, len(cfg.Topology.Ports))
-
-	if len(cfg.Tenants) > 0 {
-		s.tenants = cfg.Tenants
-		// Per-tenant trace digests are armed only for explicit tenant
-		// configurations; legacy runs keep an unarmed tracer.
-		cfg.Tracer.ArmTenantDigests(len(s.tenants))
-	} else {
-		s.tenants = []Tenant{{
-			GraphConfig: cfg.GraphConfig,
-			Share:       1,
-			RateScale:   1,
-			Generator:   cfg.Generator,
-		}}
-	}
-	var shareSum float64
-	for _, t := range s.tenants {
-		shareSum += t.Share
-	}
-	for _, t := range s.tenants {
-		s.shareFrac = append(s.shareFrac, t.Share/shareSum)
+	if cfg.Overload != nil {
+		s.governors = make([][]*overload.Governor, top.Sockets)
 	}
 
-	for i, t := range s.tenants {
+	tenants := cfg.Tenants
+	if len(tenants) == 0 {
+		tenants = []Tenant{{GraphConfig: cfg.GraphConfig, Share: 1, RateScale: 1, Generator: cfg.Generator}}
+	}
+	var initial []parsedTenant
+	for i, t := range tenants {
 		p, err := conflang.Parse(t.GraphConfig)
 		if err != nil {
 			return nil, fmt.Errorf("core: tenant %d (%s): %w", i, t.Name, err)
 		}
-		s.parsed = append(s.parsed, p)
+		initial = append(initial, parsedTenant{t, p})
 	}
-	s.tstate = make([]tenantLifecycle, len(s.tenants))
-	for t := range s.tstate {
-		s.tstate[t].active = true
-	}
-
 	// Latent tenants (admittable by the reconfig plan): parse and trial-build
 	// their graphs now, against throwaway state, so a broken latent config
 	// fails at construction instead of mid-run inside an admit epoch.
-	s.latentIdx = make(map[string]int, len(cfg.LatentTenants))
 	for i, t := range cfg.LatentTenants {
 		p, err := conflang.Parse(t.GraphConfig)
 		if err != nil {
@@ -164,24 +146,14 @@ func NewSystem(cfg Config) (*System, error) {
 		}
 		cctx := &element.ConfigContext{
 			NodeLocal:  element.NewNodeLocal(),
-			NumPorts:   len(cfg.Topology.Ports),
+			NumPorts:   len(top.Ports),
 			NumDevices: 1,
 			Rand:       rng.New(1),
 		}
 		if _, err := graph.Build(p, cctx, cfg.CostModel, *cfg.GraphOpts); err != nil {
 			return nil, fmt.Errorf("core: latent tenant %d (%s): %w", i, t.Name, err)
 		}
-		s.latentParsed = append(s.latentParsed, p)
-		s.latentIdx[t.Name] = i
-	}
-
-	top := cfg.Topology
-	for socket := 0; socket < top.Sockets; socket++ {
-		row := make([]*element.NodeLocal, len(s.tenants))
-		for t := range row {
-			row[t] = element.NewNodeLocal()
-		}
-		s.nodeLocals = append(s.nodeLocals, row)
+		s.latent[t.Name] = parsedTenant{t, p}
 	}
 
 	// Devices (one device thread per device, on a dedicated core).
@@ -197,87 +169,110 @@ func NewSystem(cfg Config) (*System, error) {
 			dev.QueueDepth = cfg.Overload.DeviceQueueDepth
 		}
 		s.devices = append(s.devices, dev)
-	}
-	s.devPlugged = make([]bool, len(s.devices))
-	for i := range s.devPlugged {
-		s.devPlugged[i] = true
+		s.devPlugged = append(s.devPlugged, true)
 	}
 	if cfg.Integrity != nil {
-		s.integrityTracker = integrity.NewTracker(cfg.Integrity, len(s.devices))
+		s.integrity = integrity.NewTracker(cfg.Integrity, len(s.devices))
 	}
-
-	// Ports, carved tenant-major: tenant t's queue for same-socket worker w
-	// is index t*WorkersPerSocket+w, each owning 1/WorkersPerSocket of the
-	// tenant's share of the port rate (RSS within a tenant's queue set).
 	for _, hw := range top.Ports {
-		specs := make([]netio.QueueSpec, 0, len(s.tenants)*cfg.WorkersPerSocket)
-		for t := range s.tenants {
-			pps := netio.OfferedPPS(cfg.OfferedBpsPerPort*s.shareFrac[t]*s.tenants[t].RateScale, s.tenants[t].Generator)
-			for wi := 0; wi < cfg.WorkersPerSocket; wi++ {
-				specs = append(specs, netio.QueueSpec{
-					Tenant: int32(t),
-					Gen:    s.tenants[t].Generator,
-					PPS:    pps / float64(cfg.WorkersPerSocket),
-				})
-			}
-		}
-		port := netio.NewPortWithQueues(hw, specs, top.RxQueueCapacity)
-		for _, q := range port.Rx {
-			q.SetStop(s.stopTime)
-			q.Tracer = cfg.Tracer
-			q.Checker = cfg.Checker
-		}
-		s.ports = append(s.ports, port)
+		s.ports = append(s.ports, &netio.Port{HW: hw})
 	}
-
-	// Workers: WorkersPerSocket per socket, each hosting one lane (graph
-	// replica + aggregator + queue set) per tenant.
-	id := 0
+	// Workers: WorkersPerSocket per socket; each tenant installed below adds
+	// one lane (graph replica + aggregator + queue set) to every worker.
 	for socket := 0; socket < top.Sockets; socket++ {
 		localPorts := top.PortsOnSocket(socket)
 		localDevs := top.DevicesOnSocket(socket)
 		for wi := 0; wi < cfg.WorkersPerSocket; wi++ {
-			w, err := newWorker(s, id, socket, wi, localPorts, localDevs)
-			if err != nil {
-				return nil, err
-			}
-			s.workers = append(s.workers, w)
-			id++
+			s.workers = append(s.workers, newWorker(s, len(s.workers), socket, wi, localPorts, localDevs))
 		}
 	}
-
-	// Adaptive load balancer controllers, one per (socket, tenant) that has
-	// shared LB state (created by LoadBalance elements during Configure).
-	for socket := 0; socket < top.Sockets; socket++ {
-		row := make([]*lb.Controller, len(s.tenants))
-		for t := range s.tenants {
-			if st, ok := s.nodeLocals[socket][t].Get(lb.StateKey).(*lb.State); ok && st.AdaptiveUsers > 0 {
-				ctl := lb.NewController(st)
-				ctl.Bound = cfg.ALBLatencyBound
-				ctl.Tracer = cfg.Tracer
-				ctl.TraceNow = s.eng.Now
-				ctl.TraceActor = int32(socket)
-				ctl.TraceTenant = int32(t)
-				ctl.Checker = cfg.Checker
-				row[t] = ctl
-			}
-		}
-		s.controllers = append(s.controllers, row)
-	}
-
-	// Overload governors, one per (socket, tenant) when overload control is
-	// armed: each tenant degrades (trim → bias → shed) on its own signals.
-	if cfg.Overload != nil {
-		for socket := 0; socket < top.Sockets; socket++ {
-			row := make([]*overload.Governor, len(s.tenants))
-			for t := range row {
-				row[t] = overload.NewGovernor(*cfg.Overload)
-			}
-			s.governors = append(s.governors, row)
+	for _, pt := range initial {
+		if err := s.installTenant(pt, pt.Share); err != nil {
+			return nil, err
 		}
 	}
-
+	s.recomputeShares()
+	s.applyRate()
+	s.reconfig = reconfig.NewDriver(cfg.Reconfig, s.stopTime, s.eng, epochTarget{s}, cfg.DrainGrace, cfg.Tracer, cfg.Checker)
 	return s, nil
+}
+
+// installTenant gives the next tenant slot everything it runs on: a
+// NodeLocal row per socket, its tenant-major RX queues on every port (tenant
+// t's queue for same-socket worker w is index t*WorkersPerSocket+w, its
+// share of the port rate split evenly across them — RSS within a tenant's
+// queue set), one lane per worker, and an adaptive controller and overload
+// governor per socket. NewSystem installs the configured tenants through it
+// at time 0 and a tenant.admit commit installs the admitted one; the caller
+// then re-splits shares and queue rates.
+func (s *System) installTenant(pt parsedTenant, share float64) error {
+	now := s.eng.Now()
+	t := len(s.tenants)
+	s.tenants = append(s.tenants, tenantSlot{Tenant: pt.Tenant, share: share, gen: pt.Generator, active: true, admitted: now})
+	for socket := range s.nodeLocals {
+		s.nodeLocals[socket] = append(s.nodeLocals[socket], element.NewNodeLocal())
+	}
+	spec := netio.QueueSpec{Tenant: int32(t), Gen: pt.Generator, Stop: s.stopTime, Tracer: s.cfg.Tracer, Checker: s.cfg.Checker}
+	for _, port := range s.ports {
+		for wi := 0; wi < s.cfg.WorkersPerSocket; wi++ {
+			port.AddQueue(now, spec, s.cfg.Topology.RxQueueCapacity)
+		}
+	}
+	for _, w := range s.workers {
+		ln, err := w.buildLane(t, pt.parsed)
+		if err != nil {
+			return err
+		}
+		w.lanes = append(w.lanes, ln)
+	}
+	// Adaptive controllers exist for sockets where the tenant's graph has
+	// shared LB state (created by LoadBalance elements during Configure).
+	for socket := range s.controllers {
+		var ctl *lb.Controller
+		if st, ok := s.nodeLocals[socket][t].Get(lb.StateKey).(*lb.State); ok && st.AdaptiveUsers > 0 {
+			ctl = lb.NewController(st, lb.Wiring{
+				Bound:       s.cfg.ALBLatencyBound,
+				Tracer:      s.cfg.Tracer,
+				TraceNow:    s.eng.Now,
+				TraceActor:  int32(socket),
+				TraceTenant: int32(t),
+				Checker:     s.cfg.Checker,
+			})
+		}
+		s.controllers[socket] = append(s.controllers[socket], ctl)
+	}
+	for socket := range s.governors {
+		s.governors[socket] = append(s.governors[socket], overload.NewGovernor(*s.cfg.Overload))
+	}
+	if len(s.cfg.Tenants) > 0 {
+		// Per-tenant digests are armed for explicit tenant configurations
+		// only; legacy runs keep an unarmed tracer.
+		s.cfg.Tracer.EnsureTenantDigests(len(s.tenants))
+	}
+	return nil
+}
+
+// recomputeShares re-normalizes the share split over the active tenants
+// (evicted slots pin to zero) and re-seats every worker's WRR rotation.
+func (s *System) recomputeShares() {
+	var sum float64
+	for _, ts := range s.tenants {
+		if ts.active {
+			sum += ts.share
+		}
+	}
+	fracs := make([]float64, len(s.tenants))
+	for t := range s.tenants {
+		ts := &s.tenants[t]
+		ts.frac = 0
+		if ts.active && sum > 0 {
+			ts.frac = ts.share / sum
+		}
+		fracs[t] = ts.frac
+	}
+	for _, w := range s.workers {
+		w.wrr.SetShares(fracs)
+	}
 }
 
 // overloadLevel returns a tenant's current governor level on a socket,
@@ -291,10 +286,6 @@ func (s *System) overloadLevel(socket int, tenant int32) overload.Level {
 
 // Engine exposes the virtual clock (for tests and the bench harness).
 func (s *System) Engine() *simtime.Engine { return s.eng }
-
-// Controllers returns socket-major per-tenant adaptive controllers (nil
-// entries for (socket, tenant) pairs without LB state).
-func (s *System) Controllers() [][]*lb.Controller { return s.controllers }
 
 // deviceFor resolves a batch's device annotation through the placement
 // policy (the scheduler stage's placement decision) for a tenant on a
@@ -321,6 +312,17 @@ func (s *System) deviceFor(socket int, tenant int32, anno int) (*gpu.Device, err
 	return s.devices[local[idx]], nil
 }
 
+// socketHasPluggedDevice reports whether any of the socket's devices is in
+// service.
+func (s *System) socketHasPluggedDevice(socket int) bool {
+	for _, di := range s.cfg.Topology.DevicesOnSocket(socket) {
+		if s.devPlugged[di] {
+			return true
+		}
+	}
+	return false
+}
+
 // applyRate pushes the current composed offered load (nominal rate × burst
 // factor, split by tenant share × rate-scale under each tenant's generator
 // frame mix) to every queue. Queues flapped down by fault injection keep
@@ -333,8 +335,8 @@ func (s *System) applyRate() {
 	nq := float64(s.cfg.WorkersPerSocket)
 	for _, p := range s.ports {
 		for _, q := range p.Rx {
-			t := int(q.Tenant)
-			pps := netio.OfferedPPS(s.curBps*s.rateFactor*s.shareFrac[t]*s.tenants[t].RateScale, s.curGens[t])
+			ts := &s.tenants[q.Tenant]
+			pps := netio.OfferedPPS(s.curBps*s.rateFactor*ts.frac*ts.RateScale, ts.gen)
 			q.SetRate(now, pps/nq)
 		}
 	}
@@ -387,19 +389,16 @@ func (s *System) applyFault(ev fault.Event) {
 }
 
 // Run executes the configured workload and returns the measurement report.
+//
+// Engine same-tick order is registration order, so the registration
+// sequence below is part of every run's identity: workers, measurement
+// marks, generator and rate changes, the fault plan, the reconfig pump, the
+// ALB loops, the governor loops, the drain watchdog.
 func (s *System) Run() (*Report, error) {
-	s.curBps = s.cfg.OfferedBpsPerPort
-	s.curGens = make([]netio.Generator, len(s.tenants))
-	for t := range s.tenants {
-		s.curGens[t] = s.tenants[t].Generator
-	}
-	s.rateFactor = 1
-
 	// Stagger worker start times by one cycle each so their first events
 	// interleave deterministically.
 	for i, w := range s.workers {
-		w := w
-		s.eng.At(simtime.Time(i), func() { w.iterate() })
+		s.eng.At(simtime.Time(i), w.iterateFn)
 	}
 
 	// Measurement window bracketing: Mark at the end of warmup, End when
@@ -433,12 +432,11 @@ func (s *System) Run() (*Report, error) {
 	// offered wire rate under the new mean frame size. Config validation
 	// restricts these to single-tenant runs, so tenant 0 owns all queues.
 	for _, gc := range s.cfg.GeneratorChanges {
-		gc := gc
 		if gc.At > s.stopTime || gc.Generator == nil {
 			continue
 		}
 		s.eng.At(gc.At, func() {
-			s.curGens[0] = gc.Generator
+			s.tenants[0].gen = gc.Generator
 			for _, p := range s.ports {
 				for _, q := range p.Rx {
 					q.SetGenerator(gc.Generator)
@@ -447,10 +445,7 @@ func (s *System) Run() (*Report, error) {
 			s.applyRate()
 		})
 	}
-
-	// Offered-load changes.
 	for _, rc := range s.cfg.RateChanges {
-		rc := rc
 		if rc.At > s.stopTime {
 			continue
 		}
@@ -461,57 +456,16 @@ func (s *System) Run() (*Report, error) {
 	}
 
 	// Scripted fault timeline. Sorted() fixes the application order for
-	// same-time events (stable in plan order), and the engine's scheduling
-	// sequence breaks ties against other events deterministically.
+	// same-time events (stable in plan order).
 	if plan := s.cfg.FaultPlan; plan != nil {
 		for _, ev := range plan.Sorted() {
-			ev := ev
 			s.eng.At(ev.At, func() { s.applyFault(ev) })
 		}
 	}
-
-	// Scripted reconfiguration timeline. Registered after the fault plan so
-	// a fault and a reconfig epoch landing on the same tick apply
-	// fault-first (engine same-tick order is registration order); reconfig
-	// events themselves serialize in plan order through the epoch pump. A
-	// nil or empty plan schedules nothing: the event timeline — and every
-	// golden digest — is byte-identical to an unconfigured run.
-	if plan := s.cfg.Reconfig; plan != nil && len(plan.Events) > 0 {
-		for _, ev := range plan.Sorted() {
-			if ev.At > s.stopTime {
-				continue
-			}
-			s.rcEvents = append(s.rcEvents, ev)
-		}
-		if len(s.rcEvents) > 0 {
-			s.rcPollFn = s.pollEpochDrain
-			s.eng.At(s.rcEvents[0].At, s.pumpReconfig)
-		}
-	}
-
-	// ALB control loops: observe each tenant's socket throughput, update
-	// that tenant's shared W. Socket-major, tenant-minor registration keeps
-	// the single-tenant event timeline identical to the pre-tenancy code.
-	for socket := range s.controllers {
-		for tenant, ctl := range s.controllers[socket] {
-			if ctl == nil {
-				continue
-			}
-			s.startALBLoops(socket, tenant, ctl)
-		}
-	}
-
-	// Overload governor loops: once per window per (socket, tenant), fold a
-	// saturation observation and apply the resulting degradation level.
-	// Armed only when overload control is configured, so ordinary runs keep
-	// their exact event timeline (and their golden trace digests).
-	if s.cfg.Overload != nil {
-		for socket := range s.governors {
-			for tenant := range s.governors[socket] {
-				s.startGovernorLoop(socket, tenant)
-			}
-		}
-	}
+	// Registered after the fault plan so a fault and a reconfig epoch
+	// landing on the same tick apply fault-first.
+	s.reconfig.Start()
+	s.startControlLoops(0)
 
 	// Drain watchdog: after arrivals stop, the run should drain within the
 	// grace window. A worker that can never retire (a hung device with the
@@ -521,17 +475,10 @@ func (s *System) Run() (*Report, error) {
 	// timeline (and their golden trace digests).
 	if grace := s.cfg.DrainGrace; grace > 0 {
 		s.eng.At(s.stopTime+grace, func() {
-			stuck := 0
-			for _, w := range s.workers {
-				if !w.stopped {
-					stuck++
-				}
+			if stuck := s.stuckWorkers(); stuck > 0 {
+				s.cfg.Checker.StuckDrain(s.eng.Now(), stuck)
+				s.eng.Stop()
 			}
-			if stuck == 0 {
-				return
-			}
-			s.cfg.Checker.StuckDrain(s.eng.Now(), stuck)
-			s.eng.Stop()
 		})
 	}
 
@@ -540,1098 +487,14 @@ func (s *System) Run() (*Report, error) {
 	return s.report(), nil
 }
 
-// startALBLoops registers one (socket, tenant) controller's observe and
-// update loops. Used at Run start for the initial tenant set and at admit
-// commit for the new tenant; both loops stop rescheduling once the tenant is
-// evicted (tenants present at construction are active for the whole run, so
-// plan-free timelines are untouched).
-func (s *System) startALBLoops(socket, tenant int, ctl *lb.Controller) {
-	var lastPkts uint64
-	var lastT simtime.Time
-	var observe func()
-	observe = func() {
-		if !s.tstate[tenant].active {
-			return
-		}
-		now := s.eng.Now()
-		pkts := s.tenantTxPackets(socket, tenant)
-		if now > lastT {
-			ctl.Observe(float64(pkts-lastPkts) / (now - lastT).Seconds())
-		}
-		lastPkts, lastT = pkts, now
-		if now < s.stopTime {
-			s.eng.After(s.cfg.ALBObserve, observe)
-		}
-	}
-	s.eng.After(s.cfg.ALBObserve, observe)
-
-	var lastFails uint64
-	var update func()
-	update = func() {
-		if !s.tstate[tenant].active {
-			return
-		}
-		// Completion failures since the last step steer the controller:
-		// a failing device forces W toward the CPU regardless of the
-		// throughput signal.
-		fails := s.tenantTaskFailures(socket, tenant)
-		ctl.NoteTaskFailures(int(fails - lastFails))
-		lastFails = fails
-		if ctl.Bound > 0 {
-			ctl.UpdateWithLatency(s.tenantRecentP99(socket, tenant))
-		} else {
-			ctl.Update()
-		}
-		if s.eng.Now() < s.stopTime {
-			s.eng.After(s.cfg.ALBUpdate, update)
-		}
-	}
-	s.eng.After(s.cfg.ALBUpdate, update)
-}
-
-// startGovernorLoop registers one (socket, tenant) overload-governor tick
-// loop (see startALBLoops for the lifecycle gating).
-func (s *System) startGovernorLoop(socket, tenant int) {
-	oc := s.cfg.Overload
-	var prevDrops, prevShed uint64
-	var tick func()
-	tick = func() {
-		if !s.tstate[tenant].active {
-			return
-		}
-		s.governorTick(socket, tenant, &prevDrops, &prevShed)
-		if s.eng.Now() < s.stopTime {
-			s.eng.After(oc.GovernorWindow, tick)
-		}
-	}
-	s.eng.After(oc.GovernorWindow, tick)
-}
-
-// reconfigDrainPoll is the cadence at which an in-flight epoch re-evaluates
-// its drain predicate. Polling exists only while a plan event is mid-epoch,
-// so plan-free runs schedule no polls at all.
-const reconfigDrainPoll = 10 * simtime.Microsecond
-
-// pumpReconfig begins the next plan event's epoch if none is in flight.
-// Epochs serialize: an event whose time arrives mid-epoch waits for the
-// commit, which re-invokes the pump (plan order is preserved because
-// rcEvents is sorted with stable ties).
-func (s *System) pumpReconfig() {
-	if s.rcActive || s.rcNext >= len(s.rcEvents) {
-		return
-	}
-	ev := s.rcEvents[s.rcNext]
-	s.rcNext++
-	s.beginEpoch(ev)
-}
-
-// beginEpoch opens one reconfiguration epoch: quiesce the affected lanes or
-// device (stop new arrivals / submissions, leave in-flight work running),
-// emit the begin event, and start evaluating the drain predicate.
-func (s *System) beginEpoch(ev reconfig.Event) {
-	now := s.eng.Now()
-	s.rcActive = true
-	s.rcEpoch++
-	s.rcBegin = now
-	s.rcEv = ev
-	s.rcRescued, s.rcForced, s.rcOrphaned = 0, false, false
-
-	tenant := trace.NoTenant
-	var target, payload int64
-	switch ev.Kind {
-	case reconfig.TenantAdmit:
-		// The tenant's slot index is assigned at commit; it is always the
-		// next slot, so the begin event can already name it.
-		target = int64(len(s.tenants))
-		payload = int64(math.Float64bits(ev.Share))
-	case reconfig.TenantEvict:
-		t := s.tenantIndex(ev.Tenant)
-		tenant, target = int32(t), int64(t)
-		// Quiesce: the tenant's arrivals stop now. Co-tenant splits are
-		// untouched until commit re-normalizes them.
-		s.shareFrac[t] = 0
-		s.applyRate()
-	case reconfig.ShareRetune:
-		t := s.tenantIndex(ev.Tenant)
-		tenant, target = int32(t), int64(t)
-		payload = int64(math.Float64bits(ev.Share))
-	case reconfig.DeviceUnplug:
-		target = int64(ev.Device)
-		// Quiesce: new submissions re-route from the begin instant; queued
-		// tasks keep draining on the device.
-		s.devPlugged[ev.Device] = false
-	case reconfig.DevicePlug:
-		target = int64(ev.Device)
-	case reconfig.QueueResize:
-		target = int64(ev.Port)
-		payload = int64(ev.Capacity)
-	}
-	if tr := s.cfg.Tracer; tr != nil {
-		tr.EmitT(now, trace.KindReconfigBegin, -1, tenant, ev.Kind.String(),
-			int64(s.rcEpoch), int64(ev.Kind), target, payload)
-	}
-	s.pollEpochDrain()
-}
-
-// pollEpochDrain drives the drain phase: commit as soon as the predicate
-// holds; at the DrainGrace deadline force-rescue the remaining work through
-// the CPU-fallback path; at twice the grace declare the lane orphaned
-// (invariant violation) and commit anyway so the run can finish and report.
-func (s *System) pollEpochDrain() {
-	if !s.rcActive {
-		return
-	}
-	now := s.eng.Now()
-	if s.epochDrained(now) {
-		s.commitEpoch()
-		return
-	}
-	if grace := s.cfg.DrainGrace; grace > 0 {
-		if !s.rcForced && now >= s.rcBegin+grace {
-			s.rcForced = true
-			s.rcRescued += s.forceRescue()
-		}
-		if now >= s.rcBegin+2*grace {
-			s.rcOrphaned = true
-			s.cfg.Checker.OrphanLane(now, s.rcEpoch, fmt.Sprintf(
-				"epoch %d (%s) still undrained %v past begin (grace %v); committing with work stranded",
-				s.rcEpoch, s.rcEv.Kind, now-s.rcBegin, grace))
-			s.commitEpoch()
-			return
-		}
-	}
-	s.eng.After(reconfigDrainPoll, s.rcPollFn)
-}
-
-// epochDrained evaluates the current epoch's drain predicate. Admit, retune,
-// plug and resize epochs have nothing in flight to wait for and drain
-// instantly.
-func (s *System) epochDrained(now simtime.Time) bool {
-	switch s.rcEv.Kind {
-	case reconfig.TenantEvict:
-		t := s.tenantIndex(s.rcEv.Tenant)
-		for _, w := range s.workers {
-			if !w.laneDrained(t, now) {
-				return false
-			}
-		}
-		return true
-	case reconfig.DeviceUnplug:
-		return s.devices[s.rcEv.Device].Queued() == 0
-	default:
-		return true
-	}
-}
-
-// forceRescue evacuates the epoch's remaining in-flight work at the grace
-// deadline: evict epochs route every outstanding task and pending aggregate
-// of the tenant's lanes through the completion-timeout path; unplug epochs
-// abort the device's queue so its tasks fail back to their workers. Either
-// way the work drains through the existing CPU-fallback path with its normal
-// accounting — nothing is silently dropped.
-func (s *System) forceRescue() int {
-	rescued := 0
-	switch s.rcEv.Kind {
-	case reconfig.TenantEvict:
-		t := s.tenantIndex(s.rcEv.Tenant)
-		for _, w := range s.workers {
-			rescued += w.rescueLane(w.lanes[t])
-		}
-	case reconfig.DeviceUnplug:
-		rescued += s.devices[s.rcEv.Device].AbortAll()
-	}
-	return rescued
-}
-
-// commitEpoch applies the epoch's change — re-split shares and queue maps,
-// re-seat controllers and governors, seal or open per-tenant digests — emits
-// the drain and commit trace events, verifies the epoch-boundary
-// conservation identity, and resumes the datapath (including the next
-// deferred plan event, if any).
-func (s *System) commitEpoch() {
-	now := s.eng.Now()
-	ev := s.rcEv
-	tenant := trace.NoTenant
-	var target int64
-	reseated := 0
-	sealTenant := -1
-	switch ev.Kind {
-	case reconfig.TenantAdmit:
-		t := s.admitTenant(ev, now)
-		tenant, target = int32(t), int64(t)
-		reseated = len(s.workers)
-	case reconfig.TenantEvict:
-		t := s.tenantIndex(ev.Tenant)
-		tenant, target = int32(t), int64(t)
-		s.tstate[t].active = false
-		s.tstate[t].evicted = true
-		s.tstate[t].evictedAt = now
-		for _, w := range s.workers {
-			w.lanes[t].active = false
-		}
-		reseated = len(s.workers)
-		s.recomputeShares()
-		s.applyRate()
-		sealTenant = t
-	case reconfig.ShareRetune:
-		t := s.tenantIndex(ev.Tenant)
-		tenant, target = int32(t), int64(t)
-		s.tenants[t].Share = ev.Share //nbalint:allow sharedstate retune commits on the serial engine; any outside write to Share builds the config before Run starts
-		reseated = len(s.workers)
-		s.recomputeShares()
-		s.applyRate()
-	case reconfig.DeviceUnplug:
-		target = int64(ev.Device)
-		// With the socket's last device gone its controllers collapse to
-		// the CPU; the unplugged-rescue path covers aggregates already
-		// annotated for offload.
-		socket := s.cfg.Topology.Devices[ev.Device].Socket
-		if !s.socketHasPluggedDevice(socket) {
-			for t, ctl := range s.controllers[socket] {
-				if ctl != nil && s.tstate[t].active {
-					ctl.SetWBounds(0, 0)
-					reseated++
-				}
-			}
-		}
-	case reconfig.DevicePlug:
-		target = int64(ev.Device)
-		s.devPlugged[ev.Device] = true
-		socket := s.cfg.Topology.Devices[ev.Device].Socket
-		for t, ctl := range s.controllers[socket] {
-			if ctl != nil && s.tstate[t].active {
-				ctl.SetWBounds(0, 1)
-				reseated++
-			}
-		}
-	case reconfig.QueueResize:
-		target = int64(ev.Port)
-		for pid, p := range s.ports {
-			if ev.Port != -1 && ev.Port != pid {
-				continue
-			}
-			for _, q := range p.Rx {
-				q.SetCapacity(now, ev.Capacity)
-				reseated++
-			}
-		}
-	}
-
-	var forced int64
-	if s.rcForced {
-		forced = 1
-	}
-	if tr := s.cfg.Tracer; tr != nil {
-		tr.Emit(now, trace.KindReconfigDrain, -1, ev.Kind.String(),
-			int64(s.rcEpoch), int64(now-s.rcBegin), int64(s.rcRescued), forced)
-		tr.EmitT(now, trace.KindReconfigCommit, -1, tenant, ev.Kind.String(),
-			int64(s.rcEpoch), int64(ev.Kind), target, int64(reseated))
-	}
-	if sealTenant >= 0 {
-		s.cfg.Tracer.SealTenantDigest(sealTenant)
-		if !s.rcOrphaned {
-			// Epoch-boundary conservation: with the tenant's lanes and
-			// queues drained, every packet its queues ever delivered is
-			// already transmitted, dropped or shed — the evicted tenant's
-			// mempool footprint is provably returned.
-			d, tx, dr, sh, qr := s.tenantTotals(sealTenant)
-			s.cfg.Checker.EpochConservation(now, s.rcEpoch, s.tenants[sealTenant].Name, d, tx, dr, sh, qr)
-		}
-	}
-	s.rcActive = false
-	if s.rcNext < len(s.rcEvents) {
-		if next := s.rcEvents[s.rcNext]; next.At <= now {
-			// Its time passed while this epoch drained: begin immediately,
-			// preserving plan order.
-			s.pumpReconfig()
-		} else {
-			s.eng.At(next.At, s.pumpReconfig)
-		}
-	}
-}
-
-// admitTenant installs a latent tenant into slot len(tenants) at admit
-// commit: NodeLocal rows, tenant-major RX queues, one lane per worker, a
-// controller and governor per socket, a fresh per-tenant trace digest, a
-// re-split share vector and its own control loops — everything a
-// construction-time tenant gets, in the same order.
-func (s *System) admitTenant(ev reconfig.Event, now simtime.Time) int {
-	li, ok := s.latentIdx[ev.Tenant]
-	if !ok {
-		panic(fmt.Sprintf("core: admit of unknown latent tenant %q", ev.Tenant))
-	}
-	tn := s.cfg.LatentTenants[li]
-	if ev.Share > 0 {
-		tn.Share = ev.Share
-	}
-	t := len(s.tenants)
-	s.tenants = append(s.tenants, tn)
-	s.tstate = append(s.tstate, tenantLifecycle{active: true, admitted: now})
-	s.shareFrac = append(s.shareFrac, 0)
-	s.parsed = append(s.parsed, s.latentParsed[li])
-	s.curGens = append(s.curGens, tn.Generator)
-	for socket := range s.nodeLocals {
-		s.nodeLocals[socket] = append(s.nodeLocals[socket], element.NewNodeLocal())
-	}
-	// Queues before lanes: the tenant-major append puts the new tenant's
-	// queue for local worker wi at index t*WorkersPerSocket+wi on every
-	// port, exactly where buildLane looks.
-	for _, port := range s.ports {
-		for wi := 0; wi < s.cfg.WorkersPerSocket; wi++ {
-			q := port.AddQueue(now, netio.QueueSpec{Tenant: int32(t), Gen: tn.Generator}, s.cfg.Topology.RxQueueCapacity)
-			q.SetStop(s.stopTime)
-			//nbalint:allow sharedstate admit-epoch wiring of a queue born on the serial engine; NewSystem's writes ran before Run started
-			q.Tracer = s.cfg.Tracer
-			//nbalint:allow sharedstate admit-epoch wiring of a queue born on the serial engine; NewSystem's writes ran before Run started
-			q.Checker = s.cfg.Checker
-		}
-	}
-	for _, w := range s.workers {
-		ln, err := w.buildLane(t)
-		if err != nil {
-			// Latent graphs are trial-built at construction; failing here is
-			// a programming bug, not a plan-authoring error.
-			panic(fmt.Sprintf("core: admit %q: %v", ev.Tenant, err))
-		}
-		w.lanes = append(w.lanes, ln)
-	}
-	for socket := range s.controllers {
-		var ctl *lb.Controller
-		if st, ok := s.nodeLocals[socket][t].Get(lb.StateKey).(*lb.State); ok && st.AdaptiveUsers > 0 {
-			ctl = lb.NewController(st)
-			// The controller is born on the serial engine during an admit
-			// epoch; NewSystem wires the same fields for boot-time tenants,
-			// but those writes ran before Run started — never concurrently.
-			ctl.Bound = s.cfg.ALBLatencyBound //nbalint:allow sharedstate admit-epoch wiring of a controller born on the serial engine
-			ctl.Tracer = s.cfg.Tracer         //nbalint:allow sharedstate admit-epoch wiring of a controller born on the serial engine
-			ctl.TraceNow = s.eng.Now          //nbalint:allow sharedstate admit-epoch wiring of a controller born on the serial engine
-			ctl.TraceActor = int32(socket)    //nbalint:allow sharedstate admit-epoch wiring of a controller born on the serial engine
-			ctl.TraceTenant = int32(t)        //nbalint:allow sharedstate admit-epoch wiring of a controller born on the serial engine
-			ctl.Checker = s.cfg.Checker       //nbalint:allow sharedstate admit-epoch wiring of a controller born on the serial engine
-		}
-		s.controllers[socket] = append(s.controllers[socket], ctl)
-	}
-	if s.cfg.Overload != nil {
-		for socket := range s.governors {
-			s.governors[socket] = append(s.governors[socket], overload.NewGovernor(*s.cfg.Overload))
-		}
-	}
-	s.cfg.Tracer.EnsureTenantDigests(len(s.tenants))
-	s.recomputeShares()
-	s.applyRate()
-	for socket := range s.controllers {
-		if ctl := s.controllers[socket][t]; ctl != nil {
-			s.startALBLoops(socket, t, ctl)
-		}
-	}
-	if s.cfg.Overload != nil {
-		for socket := range s.governors {
-			s.startGovernorLoop(socket, t)
-		}
-	}
-	return t
-}
-
-// tenantIndex resolves a plan tenant name to its slot. Plan validation
-// guarantees evict/retune targets were admitted, so a miss is a bug.
-func (s *System) tenantIndex(name string) int {
-	for t := range s.tenants {
-		if s.tenants[t].Name == name {
-			return t
-		}
-	}
-	panic(fmt.Sprintf("core: reconfig references unknown tenant %q", name))
-}
-
-// recomputeShares re-normalizes the share split over the active tenants
-// (evicted slots pin to zero) and re-seats every worker's WRR rotation.
-func (s *System) recomputeShares() {
-	var sum float64
-	for t := range s.tenants {
-		if s.tstate[t].active {
-			sum += s.tenants[t].Share
-		}
-	}
-	for t := range s.tenants {
-		if s.tstate[t].active && sum > 0 {
-			s.shareFrac[t] = s.tenants[t].Share / sum
-		} else {
-			s.shareFrac[t] = 0
-		}
-	}
-	for _, w := range s.workers {
-		w.wrr.SetShares(s.shareFrac)
-	}
-}
-
-// socketHasPluggedDevice reports whether any of the socket's devices is in
-// service.
-func (s *System) socketHasPluggedDevice(socket int) bool {
-	for _, di := range s.cfg.Topology.DevicesOnSocket(socket) {
-		if s.devPlugged[di] {
-			return true
-		}
-	}
-	return false
-}
-
-// tenantTotals sums one tenant's sides of the conservation identity across
-// all its queues and lanes (cumulative over the run so far).
-func (s *System) tenantTotals(t int) (delivered, tx, drops, shed, quarantined uint64) {
-	for _, p := range s.ports {
-		for _, q := range p.Rx {
-			if int(q.Tenant) != t {
-				continue
-			}
-			d, _, _ := q.Stats()
-			delivered += d
-		}
-	}
-	for _, w := range s.workers {
-		ln := w.lanes[t]
-		tx += ln.txPackets
-		drops += ln.graphDrops()
-		shed += ln.shedPkts
-		quarantined += ln.quarantinedPkts
-	}
-	return delivered, tx, drops, shed, quarantined
-}
-
-// governorTick runs one overload-governor window for a (socket, tenant):
-// observe saturation (bounded device queue full or backlogged = device-side,
-// shared across tenants; that tenant's RX drops or sheds still accruing =
-// CPU-side) and apply the resulting degradation level to the tenant alone.
-func (s *System) governorTick(socket, tenant int, prevDrops, prevShed *uint64) {
-	oc := s.cfg.Overload
-	g := s.governors[socket][tenant]
-	now := s.eng.Now()
-
-	devSat := false
-	cm := s.cfg.CostModel
-	for _, di := range s.cfg.Topology.DevicesOnSocket(socket) {
-		if !s.devPlugged[di] {
-			continue // hot-unplugged: no longer a saturation signal
-		}
-		d := s.devices[di]
-		if d.Saturated() || (cm.MaxDeviceBacklog > 0 && d.Backlog() > cm.MaxDeviceBacklog) {
-			devSat = true
-			break
-		}
-	}
-	drops := s.tenantRxDropped(socket, tenant)
-	shed := s.tenantShed(socket, tenant)
-	cpuSat := drops > *prevDrops || shed > *prevShed
-	*prevDrops, *prevShed = drops, shed
-
-	old := g.Level()
-	lvl, changed := g.Observe(devSat || cpuSat)
-	if changed {
-		// Trim: shrink the offload aggregation age so the tenant's packets
-		// stop maturing behind a congested device; restore it on recovery
-		// below Trim.
-		scale := 1.0
-		if lvl >= overload.LevelTrim {
-			scale = oc.TrimAgeScale
-		}
-		for _, w := range s.workers {
-			if w.socket == socket {
-				w.lanes[tenant].agg.AgeScale = scale
-			}
-		}
-		// Leaving Bias on the way up releases the ALB weight bounds.
-		if lvl < overload.LevelBias && old >= overload.LevelBias {
-			if ctl := s.controllers[socket][tenant]; ctl != nil {
-				ctl.SetWBounds(0, 1)
-				s.emitBias(socket, tenant, 0, 1, devSat, cpuSat)
-			}
-		}
-		if tr := s.cfg.Tracer; tr != nil {
-			tr.EmitT(now, trace.KindOverloadLevel, int32(socket), int32(tenant), lvl.String(),
-				int64(lvl), int64(old), b2i(devSat), b2i(cpuSat))
-		}
-	}
-	// Bias ratchet: each saturated window at LevelBias and above with an
-	// unambiguous direction moves the weight bound one step toward the
-	// uncongested processor (device congested → ceiling down toward the CPU,
-	// CPU congested → floor up toward the device).
-	if lvl >= overload.LevelBias && devSat != cpuSat {
-		if ctl := s.controllers[socket][tenant]; ctl != nil {
-			lo, hi := ctl.WBounds()
-			if devSat {
-				hi = math.Max(lo, hi-oc.BiasStep)
-			} else {
-				lo = math.Min(hi, lo+oc.BiasStep)
-			}
-			ctl.SetWBounds(lo, hi)
-			s.emitBias(socket, tenant, lo, hi, devSat, cpuSat)
-		}
-	}
-}
-
-// noteIntegrity folds one sentinel verification outcome into the per-device
-// corruption tracker and applies whatever escalation it triggers. Called from
-// the worker's completion path, on the serial engine.
-func (s *System) noteIntegrity(w *worker, it *inflightTask, match bool) {
-	now := w.now()
-	dev := it.dev
-	devIdx := int(dev.TraceActor)
-	mismatch := !match
-	if tr := s.cfg.Tracer; tr != nil {
-		tr.EmitT(now, trace.KindIntegrityCheck, int32(w.id), it.ln.tenant, dev.Name,
-			int64(it.task.ID), int64(it.pending.NPkts), b2i(mismatch), int64(devIdx))
-	}
-	action := s.integrityTracker.Observe(devIdx, mismatch)
-	if mismatch {
-		if !s.mismatchSeen {
-			s.mismatchSeen = true
-			s.firstMismatchAt = now
-		}
-		if tr := s.cfg.Tracer; tr != nil {
-			tr.EmitT(now, trace.KindIntegrityMismatch, int32(w.id), it.ln.tenant, dev.Name,
-				int64(it.task.ID), int64(it.pending.NPkts),
-				int64(math.Float64bits(s.integrityTracker.Score(devIdx))), int64(devIdx))
-		}
-	}
-	switch action {
-	case integrity.ActionDemote:
-		s.demoteDevice(devIdx, now)
-	case integrity.ActionFailStop:
-		s.failStopDevice(devIdx, now)
-	}
-}
-
-// demoteDevice ratchets the ALB weight ceiling on the suspect device's socket
-// down by DemoteStep for every active tenant, steering traffic toward the CPU
-// without taking the device out of service (the same mechanism as the
-// overload governor's bias ratchet, driven by corruption instead of
-// saturation).
-func (s *System) demoteDevice(devIdx int, now simtime.Time) {
-	socket := s.cfg.Topology.Devices[devIdx].Socket
-	for t, ctl := range s.controllers[socket] {
-		if ctl == nil || !s.tstate[t].active {
-			continue
-		}
-		lo, hi := ctl.WBounds()
-		hi = math.Max(lo, hi-s.cfg.Integrity.DemoteStep)
-		ctl.SetWBounds(lo, hi)
-	}
-	s.emitIntegrityEscalation(now, devIdx, 0)
-}
-
-// failStopDevice takes a device whose corruption score crossed FailScore out
-// of service (queued tasks fail back through the workers' CPU rescue path)
-// and schedules the recovery probe that re-admits it after ProbeAfter.
-func (s *System) failStopDevice(devIdx int, now simtime.Time) {
-	s.devices[devIdx].Fail()
-	s.emitIntegrityEscalation(now, devIdx, 1)
-	s.eng.After(s.cfg.Integrity.ProbeAfter, func() { s.probeDevice(devIdx) })
-}
-
-// probeDevice re-admits a fail-stopped device with a clean score and released
-// weight bounds, so a transient corrupter regains service; a device that
-// still corrupts is re-demoted by the sentinel on its next sampled mismatch.
-func (s *System) probeDevice(devIdx int) {
-	if !s.integrityTracker.FailStopped(devIdx) {
-		return // already re-admitted (or never integrity-failed)
-	}
-	s.integrityTracker.Readmit(devIdx)
-	s.devices[devIdx].Recover()
-	socket := s.cfg.Topology.Devices[devIdx].Socket
-	for t, ctl := range s.controllers[socket] {
-		if ctl == nil || !s.tstate[t].active {
-			continue
-		}
-		ctl.SetWBounds(0, 1)
-	}
-	s.emitIntegrityEscalation(s.eng.Now(), devIdx, 2)
-}
-
-// emitIntegrityEscalation emits one integrity.demote trace record (phase 0 =
-// ALB demotion, 1 = fail-stop, 2 = probe re-admit).
-func (s *System) emitIntegrityEscalation(now simtime.Time, devIdx int, phase int64) {
-	tr := s.cfg.Tracer
-	if tr == nil {
-		return
-	}
-	socket := s.cfg.Topology.Devices[devIdx].Socket
-	tr.Emit(now, trace.KindIntegrityDemote, int32(socket), s.devices[devIdx].Name,
-		phase, int64(math.Float64bits(s.integrityTracker.Score(devIdx))),
-		int64(s.integrityTracker.Consecutive(devIdx)), int64(devIdx))
-}
-
-func (s *System) emitBias(socket, tenant int, lo, hi float64, devSat, cpuSat bool) {
-	if tr := s.cfg.Tracer; tr != nil {
-		tr.EmitT(s.eng.Now(), trace.KindOverloadBias, int32(socket), int32(tenant), "bias",
-			int64(math.Float64bits(lo)), int64(math.Float64bits(hi)),
-			b2i(devSat), b2i(cpuSat))
-	}
-}
-
-func b2i(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// tenantRxDropped sums cumulative RX overflow + alloc-failure drops over one
-// tenant's queues on the socket's ports.
-func (s *System) tenantRxDropped(socket, tenant int) uint64 {
-	var total uint64
-	for _, pid := range s.cfg.Topology.PortsOnSocket(socket) {
-		for _, q := range s.ports[pid].Rx {
-			if int(q.Tenant) != tenant {
-				continue
-			}
-			_, dr, af := q.Stats()
-			total += dr + af
-		}
-	}
-	return total
-}
-
-// tenantShed sums cumulative overload-control activity (shed packets plus
-// admission rejections) over one tenant's lanes on a socket.
-func (s *System) tenantShed(socket, tenant int) uint64 {
-	var total uint64
-	for _, w := range s.workers {
-		if w.socket == socket {
-			ln := w.lanes[tenant]
-			total += ln.shedPkts + ln.rejectedTasks
-		}
-	}
-	return total
-}
-
-// tenantRecentP99 merges and resets one tenant's per-lane latency windows on
-// a socket, returning the p99 observed since the last ALB update.
-func (s *System) tenantRecentP99(socket, tenant int) simtime.Time {
-	var merged stats.Hist
-	for _, w := range s.workers {
-		if w.socket == socket {
-			ln := w.lanes[tenant]
-			merged.Merge(&ln.recentLat)
-			ln.recentLat.Reset()
-		}
-	}
-	return merged.Percentile(99)
-}
-
-func (s *System) tenantTxPackets(socket, tenant int) uint64 {
-	var total uint64
-	for _, w := range s.workers {
-		if w.socket == socket {
-			total += w.lanes[tenant].txPackets
-		}
-	}
-	return total
-}
-
-// tenantTaskFailures counts failed plus timed-out offload tasks across one
-// tenant's lanes on a socket (cumulative).
-func (s *System) tenantTaskFailures(socket, tenant int) uint64 {
-	var total uint64
-	for _, w := range s.workers {
-		if w.socket == socket {
-			ln := w.lanes[tenant]
-			total += ln.failedTasks + ln.timedOutTasks
-		}
-	}
-	return total
-}
-
-// TenantReport is one tenant's slice of a run: the per-tenant sides of the
-// conservation identity, its latency distribution, its replay-stable trace
-// sub-digest and its SLO verdict.
-type TenantReport struct {
-	// Name is the tenant's configured name ("" for the implicit tenant of
-	// a single-app run).
-	Name string
-	// RxDelivered / RxDropped / AllocFailed aggregate the tenant's queues
-	// over the whole run.
-	RxDelivered uint64
-	RxDropped   uint64
-	AllocFailed uint64
-	// TxPackets + GraphDrops + ShedPackets + QuarantinedPackets must equal
-	// RxDelivered for a drained run (the per-tenant conservation identity).
-	TxPackets          uint64
-	GraphDrops         uint64
-	ShedPackets        uint64
-	QuarantinedPackets uint64
-	// TxGbps is the tenant's transmitted wire throughput over the
-	// measurement window.
-	TxGbps float64
-	// OffloadedPackets / FallbackPackets / FailedTasks / TimedOutTasks /
-	// RejectedTasks are the tenant's offload-path counters.
-	OffloadedPackets uint64
-	FallbackPackets  uint64
-	FailedTasks      uint64
-	TimedOutTasks    uint64
-	RejectedTasks    uint64
-	// Latency is the tenant's end-to-end latency distribution over the
-	// measurement window.
-	Latency stats.Hist
-	// FinalW is the tenant's socket-0 offloading fraction at the end.
-	FinalW float64
-	// SLOP999 echoes the configured objective; SLOMet reports whether the
-	// measured p99.9 met it (true when no objective was set).
-	SLOP999 simtime.Time
-	SLOMet  bool
-	// Digest is the tenant's trace sub-digest ("" when the run's tracer
-	// was nil or tenancy was implicit). For an evicted tenant this is the
-	// digest sealed at evict commit, not a zero-filled live value.
-	Digest string
-	// Admitted is the virtual time the tenant entered service (0 for
-	// tenants present at construction).
-	Admitted simtime.Time
-	// Evicted marks a sealed section: the tenant was drained and removed at
-	// EvictedAt, its counters are frozen at that point and Digest holds the
-	// sealed sub-digest.
-	Evicted   bool
-	EvictedAt simtime.Time
-}
-
-// Report is the outcome of a run.
-type Report struct {
-	// Measured is the measurement window length.
-	Measured simtime.Time
-	// TxGbps is the aggregate transmitted wire throughput.
-	TxGbps float64
-	// TxPPS is the aggregate transmitted packet rate.
-	TxPPS float64
-	// PerPortGbps is the per-port TX breakdown.
-	PerPortGbps []float64
-	// RxDelivered / RxDropped / AllocFailed aggregate NIC statistics over
-	// the whole run (including warmup).
-	RxDelivered uint64
-	RxDropped   uint64
-	AllocFailed uint64
-	// Latency is the end-to-end latency distribution of packets
-	// transmitted during the measurement window.
-	Latency stats.Hist
-	// FinalW is the offloading fraction at the end (adaptive runs, first
-	// tenant).
-	FinalW float64
-	// LBTrace is socket 0's first-tenant controller trace.
-	LBTrace []lb.TracePoint
-	// DeviceStats snapshots each accelerator.
-	DeviceStats []gpu.Stats
-	// GraphDrops counts packets dropped inside pipelines (all workers).
-	GraphDrops uint64
-	// TxPackets counts packets transmitted over the whole run (including
-	// warmup), the TX side of the conservation identity
-	// RxDelivered == TxPackets + GraphDrops + ShedPackets.
-	TxPackets uint64
-	// OffloadedPackets counts packets processed via accelerators.
-	OffloadedPackets uint64
-	// FallbackPackets counts packets rescued onto the CPU after their
-	// offload task failed or timed out (subset of OffloadedPackets).
-	FallbackPackets uint64
-	// FailedTasks / TimedOutTasks count the worker-observed offload-task
-	// failures behind those rescues.
-	FailedTasks   uint64
-	TimedOutTasks uint64
-	// ShedPackets counts packets dropped by overload control (CoDel sojourn
-	// shedding plus admission-rejected aggregates at LevelShed). Part of the
-	// conservation identity RxDelivered == TxPackets + GraphDrops + Shed +
-	// Quarantined.
-	ShedPackets uint64
-	// QuarantinedPackets counts packets discarded because sentinel
-	// re-execution disagreed with the device's results (never transmitted,
-	// never resumed). Part of the conservation identity; zero when
-	// Config.Integrity is nil.
-	QuarantinedPackets uint64
-	// IntegrityChecks / CorruptionDetected count sentinel re-executions and
-	// the mismatches among them across all workers.
-	IntegrityChecks    uint64
-	CorruptionDetected uint64
-	// DeviceCorruptionScores is each device's final EWMA corruption score
-	// (nil when Config.Integrity is nil).
-	DeviceCorruptionScores []float64
-	// FirstMismatchAt is the virtual time of the first sentinel mismatch
-	// (detection latency relative to the corruption window's start); zero
-	// when CorruptionDetected is zero.
-	FirstMismatchAt simtime.Time
-	// RejectedTasks counts device submissions refused by admission control
-	// (the bounded task queue was full), whether rescued or shed.
-	RejectedTasks uint64
-	// RxBacklogHWM is the deepest RX-ring backlog observed on any queue.
-	RxBacklogHWM uint64
-	// WorkerInflightHWM is the most outstanding device tasks any worker had.
-	WorkerInflightHWM int
-	// DeviceQueueHWM is the deepest task-queue occupancy observed on any
-	// device — with overload control armed it never exceeds the configured
-	// DeviceQueueDepth (the queue.bound invariant).
-	DeviceQueueHWM int
-	// OverloadPeak / OverloadFinal are the most severe and final governor
-	// levels across sockets and tenants (always normal when overload
-	// control is off).
-	OverloadPeak  overload.Level
-	OverloadFinal overload.Level
-	// TailGbps is the throughput over the last quarter of the measurement
-	// window — the converged state of adaptive runs.
-	TailGbps float64
-	// Capture holds the first Config.CaptureTx transmitted frames.
-	Capture []netio.CapturedPacket
-	// NodeStats aggregates per-element-instance counters across all worker
-	// replicas, keyed by the instance name from the configuration; in
-	// multi-tenant runs the key is "tenantName/instanceName".
-	NodeStats map[string]NodeStat
-	// PoolOutstanding is the number of packets still outstanding at the
-	// end — must be zero after a drained run (conservation check).
-	PoolOutstanding int
-	// Tenants is the per-tenant breakdown (one entry per configured tenant;
-	// a single implicit entry with Name "" for classic single-app runs).
-	Tenants []TenantReport
-}
-
-func (s *System) report() *Report {
-	now := s.eng.Now()
-	// Finalize RX accounting before reading queue stats: load offered to a
-	// queue that ended the run flapped down (or was last polled before the
-	// end) becomes head-drop overflow in the drop counters instead of
-	// vanishing between the last poll and the end of the run. No trace
-	// events are emitted — the engine has stopped, digests are sealed.
-	for _, p := range s.ports {
-		for _, q := range p.Rx {
-			q.FinalizeAccounting(now)
-		}
-	}
-
-	r := &Report{Measured: now - s.cfg.Warmup}
-	if now > s.stopTime {
-		r.Measured = s.stopTime - s.cfg.Warmup
-	}
-	for _, p := range s.ports {
-		pps, bps := p.TxM.RateWindow()
-		r.TxGbps += stats.Gbps(bps)
-		r.TxPPS += pps
-		r.PerPortGbps = append(r.PerPortGbps, stats.Gbps(bps))
-		d, dr, af := p.RxStats()
-		r.RxDelivered += d
-		r.RxDropped += dr
-		r.AllocFailed += af
-		for _, q := range p.Rx {
-			if h := q.HighWatermark(); h > r.RxBacklogHWM {
-				r.RxBacklogHWM = h
-			}
-		}
-	}
-	for _, w := range s.workers {
-		for _, ln := range w.lanes {
-			r.Latency.Merge(&ln.latency)
-			r.GraphDrops += ln.graphDrops()
-			r.TxPackets += ln.txPackets
-			r.OffloadedPackets += ln.offloadedPkts
-			r.FallbackPackets += ln.fallbackPkts
-			r.FailedTasks += ln.failedTasks
-			r.TimedOutTasks += ln.timedOutTasks
-			r.ShedPackets += ln.shedPkts
-			r.RejectedTasks += ln.rejectedTasks
-			r.QuarantinedPackets += ln.quarantinedPkts
-		}
-		if w.sentinel != nil {
-			r.IntegrityChecks += w.sentinel.Checks
-			r.CorruptionDetected += w.sentinel.Mismatches
-		}
-		if w.inflightHWM > r.WorkerInflightHWM {
-			r.WorkerInflightHWM = w.inflightHWM
-		}
-		r.PoolOutstanding += w.pktPool.Stats().Outstanding
-	}
-	if s.integrityTracker != nil {
-		for i := range s.devices {
-			r.DeviceCorruptionScores = append(r.DeviceCorruptionScores, s.integrityTracker.Score(i))
-		}
-		r.FirstMismatchAt = s.firstMismatchAt
-	}
-	for _, d := range s.devices {
-		st := d.Stats()
-		r.DeviceStats = append(r.DeviceStats, st)
-		if st.MaxQueued > r.DeviceQueueHWM {
-			r.DeviceQueueHWM = st.MaxQueued
-		}
-	}
-	for _, row := range s.governors {
-		for _, g := range row {
-			if g.Peak() > r.OverloadPeak {
-				r.OverloadPeak = g.Peak()
-			}
-			if g.Level() > r.OverloadFinal {
-				r.OverloadFinal = g.Level()
-			}
-		}
-	}
-	if dt := (s.stopTime - s.tailMarkTime).Seconds(); s.tailMarkTime > 0 && dt > 0 {
-		var bytes uint64
-		for i := range s.tailEndBytes {
-			bytes += s.tailEndBytes[i] - s.tailMarkBytes[i]
-		}
-		r.TailGbps = stats.Gbps(float64(bytes) * 8 / dt)
-	}
-	if ctl := s.controllers[0][0]; ctl != nil {
-		r.FinalW = ctl.W()
-		r.LBTrace = ctl.Trace
-	}
-	r.Capture = s.captured
-	r.NodeStats = map[string]NodeStat{}
-	for _, w := range s.workers {
-		for _, ln := range w.lanes {
-			prefix := ""
-			if name := s.tenants[ln.tenant].Name; name != "" {
-				prefix = name + "/"
-			}
-			for _, n := range ln.g.Nodes {
-				key := prefix + n.Name
-				st := r.NodeStats[key]
-				st.Processed += n.Processed
-				st.Dropped += n.Dropped
-				st.Splits += n.Splits
-				st.Reuses += n.Reuses
-				r.NodeStats[key] = st
-			}
-		}
-	}
-	s.tenantReports(r)
-	s.endOfRunChecks(r)
-	return r
-}
-
-// tenantReports fills the per-tenant breakdown.
-func (s *System) tenantReports(r *Report) {
-	r.Tenants = make([]TenantReport, len(s.tenants))
-	measured := r.Measured.Seconds()
-	for t := range s.tenants {
-		tr := &r.Tenants[t]
-		tr.Name = s.tenants[t].Name
-		tr.SLOP999 = s.tenants[t].SLOP999
-		for _, p := range s.ports {
-			for _, q := range p.Rx {
-				if int(q.Tenant) != t {
-					continue
-				}
-				d, dr, af := q.Stats()
-				tr.RxDelivered += d
-				tr.RxDropped += dr
-				tr.AllocFailed += af
-			}
-		}
-		var wireBytes uint64
-		for _, w := range s.workers {
-			ln := w.lanes[t]
-			tr.TxPackets += ln.txPackets
-			tr.GraphDrops += ln.graphDrops()
-			tr.ShedPackets += ln.shedPkts
-			tr.QuarantinedPackets += ln.quarantinedPkts
-			tr.OffloadedPackets += ln.offloadedPkts
-			tr.FallbackPackets += ln.fallbackPkts
-			tr.FailedTasks += ln.failedTasks
-			tr.TimedOutTasks += ln.timedOutTasks
-			tr.RejectedTasks += ln.rejectedTasks
-			tr.Latency.Merge(&ln.latency)
-			wireBytes += ln.txWireBytesMeasured
-		}
-		if measured > 0 {
-			tr.TxGbps = stats.Gbps(float64(wireBytes) * 8 / measured)
-		}
-		if ctl := s.controllers[0][t]; ctl != nil {
-			tr.FinalW = ctl.W()
-		}
-		tr.SLOMet = tr.SLOP999 <= 0 || tr.Latency.Percentile(99.9) <= tr.SLOP999
-		// Evicted tenants keep a sealed section: counters frozen at the
-		// evict (their lanes and queues stopped accruing), the digest
-		// sealed at commit, and the exit time recorded — the section is
-		// retained, not dropped or zero-filled.
-		tr.Admitted = s.tstate[t].admitted
-		tr.Evicted = s.tstate[t].evicted
-		tr.EvictedAt = s.tstate[t].evictedAt
-		tr.Digest = s.cfg.Tracer.TenantDigest(t)
-	}
-}
-
-// endOfRunChecks runs the drain-time invariants. With a checker attached,
-// violations are collected on it (the chaos driver needs the run to finish
-// and report); without one, a pool leak still panics when the pools are in
-// debug-checked mode (-tags debugChecks), keeping the original fail-fast
-// behaviour for developer runs.
-func (s *System) endOfRunChecks(r *Report) {
-	now := s.eng.Now()
-	ck := s.cfg.Checker
-	// Drain-state invariants (pools empty, conservation) only hold for runs
-	// that actually drained; after a watchdog force-stop the in-flight
-	// packets are legitimately unaccounted, and drain.stuck already fired.
-	drained := s.allWorkersStopped()
-	if drained {
-		for _, w := range s.workers {
-			for _, assert := range []func() error{w.pktPool.AssertDrained, w.batchPool.AssertDrained} {
-				err := assert()
-				if err == nil {
-					continue
-				}
-				switch {
-				case ck != nil:
-					ck.PoolDrained(now, err)
-				case w.pktPool.DebugChecksEnabled():
-					panic(fmt.Sprintf("core: worker %d: %v", w.id, err))
-				}
-			}
-		}
-	}
-	if ck == nil {
-		return
-	}
-	// Orphaned-lane checks: an epoch still mid-flight when the engine
-	// stopped, or plan events that never got their epoch, mean the handoff
-	// protocol lost track of work it promised to re-seat.
-	if s.rcActive {
-		ck.OrphanLane(now, s.rcEpoch, fmt.Sprintf(
-			"epoch %d (%s) still in progress at engine stop (begun %v)",
-			s.rcEpoch, s.rcEv.Kind, s.rcBegin))
-	}
-	if s.rcNext < len(s.rcEvents) {
-		ck.OrphanLane(now, s.rcEpoch, fmt.Sprintf(
-			"%d reconfig event(s) scheduled inside the run never began an epoch (next: %s at %v)",
-			len(s.rcEvents)-s.rcNext, s.rcEvents[s.rcNext].Kind, s.rcEvents[s.rcNext].At))
-	}
-	// Packet conservation over the whole run: every NIC-delivered packet is
-	// accounted exactly once as transmitted, dropped inside a pipeline, shed
-	// by overload control, or quarantined by the integrity sentinel —
-	// globally and within each tenant, so no tenant's loss can hide behind a
-	// co-tenant's surplus.
-	if drained {
-		ck.Conservation(now, r.RxDelivered, r.TxPackets, r.GraphDrops, r.ShedPackets, r.QuarantinedPackets)
-		for _, tr := range r.Tenants {
-			name := tr.Name
-			if name == "" {
-				name = "t0"
-			}
-			ck.TenantConservation(now, name, tr.RxDelivered, tr.TxPackets, tr.GraphDrops, tr.ShedPackets, tr.QuarantinedPackets)
-		}
-	}
-	for i, d := range s.devices {
-		st := d.Stats()
-		ck.DeviceUtil(now, s.cfg.Topology.Devices[i].Name, st.KernelBusy, st.CopyBusy, st.LastFinish)
-	}
-	ck.EndOfRun(now)
-}
-
-// allWorkersStopped reports whether every worker retired normally (false
-// after a watchdog force-stop).
-func (s *System) allWorkersStopped() bool {
+// stuckWorkers counts the workers that have not retired.
+func (s *System) stuckWorkers() (n int) {
 	for _, w := range s.workers {
 		if !w.stopped {
-			return false
+			n++
 		}
 	}
-	return true
-}
-
-// NodeStat is the aggregated activity of one element instance.
-type NodeStat struct {
-	Processed uint64
-	Dropped   uint64
-	Splits    uint64
-	Reuses    uint64
+	return n
 }
 
 // newLaneRand derives a deterministic PRNG per (worker, tenant) lane. The

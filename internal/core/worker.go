@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"nba/internal/batch"
+	"nba/internal/conflang"
 	"nba/internal/element"
 	"nba/internal/gpu"
 	"nba/internal/graph"
@@ -79,29 +80,31 @@ type lane struct {
 	codel   overload.CoDel
 	codelOn bool
 
-	// Stats.
-	txPackets           uint64
+	// Counters is what the lane accrues itself: its RX counts stay zero
+	// here and GraphDrops holds only the packets the framework dropped
+	// outside any element (batch alloc failure, offload misconfiguration);
+	// counters() adds the queues' and the graph's.
+	Counters
 	txWireBytesMeasured uint64 // wire bytes transmitted inside the measurement window
 	latency             stats.Hist
 	recentLat           stats.Hist // since the last ALB update (bounded-latency LB)
 	latencySkip         int
-	offloadedPkts       uint64
-	splitDropped        uint64 // packets dropped by the framework outside any element (batch alloc failure, offload misconfig)
-	fallbackPkts        uint64 // packets rescued onto the CPU after a task failure/timeout
-	failedTasks         uint64 // tasks completed by the device as failed
-	timedOutTasks       uint64 // tasks rescued by the completion timeout
-	shedPkts            uint64 // packets dropped by overload control (CoDel or admission shed)
-	rejectedTasks       uint64 // device submissions refused by admission control
-	quarantinedPkts     uint64 // packets discarded because sentinel re-execution disagreed with the device
 }
 
-// graphDrops sums packets dropped inside this lane's pipeline.
-func (ln *lane) graphDrops() uint64 {
-	total := ln.splitDropped + ln.g.DropUnrouted
+// counters returns the lane's share of its tenant's Counters.
+func (ln *lane) counters() Counters {
+	c := ln.Counters
+	c.GraphDrops += ln.g.DropUnrouted
 	for _, n := range ln.g.Nodes {
-		total += n.Dropped
+		c.GraphDrops += n.Dropped
 	}
-	return total
+	for _, q := range ln.rxqs {
+		d, dr, af := q.Stats()
+		c.RxDelivered += d
+		c.RxDropped += dr
+		c.AllocFailed += af
+	}
+	return c
 }
 
 // worker is one worker thread: a replicated pipeline per tenant on its own
@@ -157,43 +160,33 @@ type worker struct {
 	iterateFn func()
 }
 
-func newWorker(s *System, id, socket, local int, localPorts, localDevs []int) (*worker, error) {
+func newWorker(s *System, id, socket, local int, localPorts, localDevs []int) *worker {
 	w := &worker{
-		sys:        s,
-		id:         id,
-		socket:     socket,
-		local:      local,
-		localPorts: localPorts,
-		localDevs:  localDevs,
+		sys:         s,
+		id:          id,
+		socket:      socket,
+		local:       local,
+		localPorts:  localPorts,
+		localDevs:   localDevs,
+		wrr:         sched.NewWRR(nil),
+		pktPool:     netio.NewPacketPool(fmt.Sprintf("pkt.w%d", id), s.cfg.PacketPoolPerWorker),
+		batchPool:   batch.NewPool(fmt.Sprintf("batch.w%d", id), s.cfg.BatchPoolPerWorker),
+		completions: mempool.NewRing[completion](256),
 	}
-	for t := range s.tenants {
-		ln, err := w.buildLane(t)
-		if err != nil {
-			return nil, err
-		}
-		w.lanes = append(w.lanes, ln)
-	}
-	w.cur = w.lanes[0]
-	w.wrr = sched.NewWRR(s.shareFrac)
 	if len(localDevs) > 0 {
 		w.sockDev = s.devices[localDevs[0]]
 	}
-	w.pktPool = netio.NewPacketPool(fmt.Sprintf("pkt.w%d", id), s.cfg.PacketPoolPerWorker)
-	w.batchPool = batch.NewPool(fmt.Sprintf("batch.w%d", id), s.cfg.BatchPoolPerWorker)
-	w.completions = mempool.NewRing[completion](256)
 	if s.cfg.Integrity != nil {
 		w.sentinel = integrity.NewSentinel(s.cfg.Integrity, s.newSentinelRand(id))
 	}
 	w.iterateFn = w.iterate
-	return w, nil
+	return w
 }
 
-// buildLane constructs one tenant lane exactly as construction time does, so
-// a lane admitted mid-run (tenant.admit epoch commit) is indistinguishable
-// from one a fresh run with that tenant set would have built. The tenant's
-// parsed graph, NodeLocal rows and tenant-major RX queues must already be in
-// place at index t.
-func (w *worker) buildLane(t int) (*lane, error) {
+// buildLane constructs tenant t's lane on this worker from its parsed
+// pipeline. The tenant's NodeLocal rows and tenant-major RX queues must
+// already be in place at index t.
+func (w *worker) buildLane(t int, parsed *conflang.Config) (*lane, error) {
 	s := w.sys
 	ln := &lane{tenant: int32(t), active: true}
 	cctx := &element.ConfigContext{
@@ -204,7 +197,7 @@ func (w *worker) buildLane(t int) (*lane, error) {
 		NumDevices: len(w.localDevs),
 		Rand:       s.newLaneRand(w.id, int32(t)),
 	}
-	g, err := graph.Build(s.parsed[t], cctx, s.cfg.CostModel, *s.cfg.GraphOpts)
+	g, err := graph.Build(parsed, cctx, s.cfg.CostModel, *s.cfg.GraphOpts)
 	if err != nil {
 		return nil, fmt.Errorf("core: worker %d tenant %d: %w", w.id, t, err)
 	}
@@ -371,18 +364,22 @@ func (w *worker) iterate() {
 }
 
 // laneDrained is the epoch drain predicate for one lane: no outstanding
-// device tasks or unprocessed completions, no pending aggregates, and every
-// live RX queue empty. It intentionally mirrors done()'s per-lane terms.
+// device tasks or unprocessed completions, and the lane idle.
 func (w *worker) laneDrained(t int, now simtime.Time) bool {
 	ln := w.lanes[t]
-	if ln.inflightTasks > 0 || ln.agg.PendingCount() > 0 {
+	return ln.inflightTasks == 0 && ln.idle(now)
+}
+
+// idle reports that the lane has no pending aggregate and every live RX
+// queue is empty. A queue still flapped down can never drain: its backlog
+// is stranded (the packets were never materialised), so it must not keep
+// the lane busy forever.
+func (ln *lane) idle(now simtime.Time) bool {
+	if ln.agg.PendingCount() > 0 {
 		return false
 	}
 	for _, q := range ln.rxqs {
-		if q.Down() {
-			continue
-		}
-		if q.Backlog(now) > 0 {
+		if !q.Down() && q.Backlog(now) > 0 {
 			return false
 		}
 	}
@@ -402,22 +399,8 @@ func (w *worker) done() bool {
 		// An evicted lane was drained by its epoch; stranded backlog on its
 		// zero-rated queues is finalized into drop accounting at report time
 		// and must not keep the worker alive.
-		if !ln.active {
-			continue
-		}
-		if ln.agg.PendingCount() > 0 {
+		if ln.active && !ln.idle(w.sys.eng.Now()) {
 			return false
-		}
-		for _, q := range ln.rxqs {
-			// A queue still flapped down at the end of the run can never drain;
-			// its backlog is stranded (the packets were never materialised), so
-			// it must not keep the worker alive forever.
-			if q.Down() {
-				continue
-			}
-			if q.Backlog(w.sys.eng.Now()) > 0 {
-				return false
-			}
 		}
 	}
 	return true
@@ -440,7 +423,7 @@ func (w *worker) injectPackets(pkts []*packet.Packet) {
 			// Batch pool exhausted: the frames are already materialised,
 			// so they are dropped here (counted separately from NIC drops).
 			for _, p := range pkts[off:end] {
-				ln.splitDropped++
+				ln.GraphDrops++
 				w.pktPool.Put(p)
 			}
 			continue
@@ -462,26 +445,22 @@ func (w *worker) flush(p *offload.Pending) {
 	if err == errNoPluggedDevice {
 		// Every local device is hot-unplugged: the aggregate is rescued on
 		// the CPU (the hitless path), not dropped — unplug is a planned
-		// reconfiguration, not a misconfiguration.
-		w.rescueUnplugged(p)
+		// reconfiguration, not a misconfiguration. The device never saw
+		// the task, so only the rescue is charged.
+		w.noteFallback(ln, p, 0, 3, 0)
+		w.execChainOnCPU(p)
+		w.resumeAggregate(p)
 		return
 	}
 	if err != nil {
 		// No such device: treat as a misconfiguration drop of the whole
 		// aggregate (exercised by failure-injection tests).
-		for _, b := range p.Batches {
-			b.ForEachLive(func(i int, pkt *packet.Packet) {
-				ln.splitDropped++
-				w.pktPool.Put(pkt)
-			})
-			b.Reset()
-			w.batchPool.Put(b)
-		}
+		w.dropAggregate(p, &ln.GraphDrops)
 		return
 	}
 	w.inflight++
 	w.inflightPkts += p.NPkts
-	ln.offloadedPkts += uint64(p.NPkts)
+	ln.OffloadedPackets += uint64(p.NPkts)
 	task := &gpu.Task{
 		Worker:     w.id,
 		NPkts:      p.NPkts,
@@ -525,9 +504,7 @@ func (w *worker) flush(p *offload.Pending) {
 		if it.done {
 			return // a late device completion after the timeout rescued it
 		}
-		if !w.completions.Push(completion{it: it}) {
-			panic(fmt.Sprintf("core: worker %d completion ring overflow", w.id))
-		}
+		w.pushCompletion(completion{it: it})
 	}
 	if tt := w.sys.cfg.TaskTimeout; tt > 0 {
 		// The timeout only enqueues a rescue completion: the fallback runs
@@ -536,9 +513,7 @@ func (w *worker) flush(p *offload.Pending) {
 			if it.done {
 				return
 			}
-			if !w.completions.Push(completion{it: it, timedOut: true}) {
-				panic(fmt.Sprintf("core: worker %d completion ring overflow", w.id))
-			}
+			w.pushCompletion(completion{it: it, timedOut: true})
 		})
 	}
 	if !dev.Submit(task) {
@@ -549,17 +524,22 @@ func (w *worker) flush(p *offload.Pending) {
 		it.done = true
 		w.inflight--
 		w.inflightPkts -= p.NPkts
-		ln.offloadedPkts -= uint64(p.NPkts)
-		ln.rejectedTasks++
+		ln.OffloadedPackets -= uint64(p.NPkts)
+		ln.RejectedTasks++
 		lvl := w.sys.overloadLevel(w.socket, ln.tenant)
 		if lvl >= overload.LevelShed {
 			if tr := w.sys.cfg.Tracer; tr != nil {
 				tr.EmitT(w.now(), trace.KindOverloadShed, int32(w.id), ln.tenant, "admission",
 					int64(p.NPkts), 1, int64(dev.Queued()), int64(lvl))
 			}
-			w.shedAggregate(p)
+			w.dropAggregate(p, &ln.ShedPackets)
 		} else {
-			w.rescueRejected(it, lvl)
+			// The refused device never saw the aggregate: run it on the
+			// CPU right away and resume its batches in the pipeline.
+			w.noteFallback(ln, p, 0, 2, int64(lvl))
+			w.execChainOnCPU(p)
+			it.executed = true
+			w.resumeAggregate(p)
 		}
 		return
 	}
@@ -576,18 +556,13 @@ func (w *worker) flush(p *offload.Pending) {
 	}
 }
 
-// rescueUnplugged runs an aggregate on the CPU because its socket has no
-// plugged device left (hot-unplug re-route of last resort). The device never
-// saw the task, so only the rescue is charged.
-func (w *worker) rescueUnplugged(p *offload.Pending) {
-	ln := w.cur
-	ln.fallbackPkts += uint64(p.NPkts)
-	if tr := w.sys.cfg.Tracer; tr != nil {
-		tr.EmitT(w.now(), trace.KindFallback, int32(w.id), ln.tenant, "fallback",
-			0, int64(p.NPkts), 3, 0)
+// pushCompletion hands a completion to the IO loop. At most
+// MaxInflightTasks tasks plus one epoch rescue's aggregates are ever
+// outstanding, so an overflow is a bug.
+func (w *worker) pushCompletion(c completion) {
+	if !w.completions.Push(c) {
+		panic(fmt.Sprintf("core: worker %d completion ring overflow", w.id))
 	}
-	w.execChainOnCPU(p)
-	w.resumeAggregate(p)
 }
 
 // rescueLane force-drains one lane at the epoch grace deadline: every
@@ -604,9 +579,7 @@ func (w *worker) rescueLane(ln *lane) int {
 			continue
 		}
 		rescued++
-		if !w.completions.Push(completion{it: it, timedOut: true}) {
-			panic(fmt.Sprintf("core: worker %d completion ring overflow", w.id))
-		}
+		w.pushCompletion(completion{it: it, timedOut: true})
 	}
 	for _, p := range ln.agg.TakeAll() {
 		rescued++
@@ -617,40 +590,34 @@ func (w *worker) rescueLane(ln *lane) int {
 		w.inflight++
 		w.inflightPkts += p.NPkts
 		ln.inflightTasks++
-		if !w.completions.Push(completion{it: it, timedOut: true}) {
-			panic(fmt.Sprintf("core: worker %d completion ring overflow", w.id))
-		}
+		w.pushCompletion(completion{it: it, timedOut: true})
 	}
 	return rescued
 }
 
-// rescueRejected runs an admission-rejected aggregate on the CPU immediately
-// (the refused device never saw it) and resumes its batches in the pipeline.
-func (w *worker) rescueRejected(it *inflightTask, lvl overload.Level) {
-	p := it.pending
-	w.cur = it.ln
-	it.ln.fallbackPkts += uint64(p.NPkts)
-	if tr := w.sys.cfg.Tracer; tr != nil {
-		tr.EmitT(w.now(), trace.KindFallback, int32(w.id), it.ln.tenant, "fallback",
-			0, int64(p.NPkts), 2, int64(lvl))
-	}
-	w.execChainOnCPU(p)
-	it.executed = true
-	w.resumeAggregate(p)
-}
-
-// shedAggregate drops every live packet of a refused aggregate (overload
-// shedding at LevelShed) and recycles its batches, charging the current
-// lane.
-func (w *worker) shedAggregate(p *offload.Pending) {
-	ln := w.cur
+// dropAggregate drops every live packet of an aggregate into one of the
+// lane's drop counters and recycles its batches, returning how many packets
+// it dropped.
+func (w *worker) dropAggregate(p *offload.Pending, counter *uint64) (n int64) {
 	for _, b := range p.Batches {
 		b.ForEachLive(func(i int, pkt *packet.Packet) {
-			ln.shedPkts++
+			n++
+			*counter++
 			w.pktPool.Put(pkt)
 		})
-		b.Reset()
-		w.batchPool.Put(b)
+		w.PutBatch(b)
+	}
+	return n
+}
+
+// noteFallback charges an aggregate rescued onto the CPU to its lane and
+// records the rescue (reason 0 = task failed, 1 = timed out, 2 = admission
+// rejected at governor level lvl, 3 = no plugged device).
+func (w *worker) noteFallback(ln *lane, p *offload.Pending, taskID, reason, lvl int64) {
+	ln.FallbackPackets += uint64(p.NPkts)
+	if tr := w.sys.cfg.Tracer; tr != nil {
+		tr.EmitT(w.now(), trace.KindFallback, int32(w.id), ln.tenant, "fallback",
+			taskID, int64(p.NPkts), reason, lvl)
 	}
 }
 
@@ -675,7 +642,7 @@ func (w *worker) shedSojourn(pkts []*packet.Packet) []*packet.Packet {
 		}
 		if ln.codel.ShouldDrop(now, sojourn) {
 			shed++
-			ln.shedPkts++
+			ln.ShedPackets++
 			w.pktPool.Put(p)
 			continue
 		}
@@ -773,20 +740,9 @@ func (w *worker) verifyAggregate(it *inflightTask, sh *integrity.Shadow) bool {
 // may reach TX or the resumed pipeline. The packets land in a dedicated
 // counted drop class so end-to-end conservation still balances.
 func (w *worker) quarantineAggregate(it *inflightTask) {
-	p := it.pending
-	ln := it.ln
-	var n int64
-	for _, b := range p.Batches {
-		b.ForEachLive(func(i int, pkt *packet.Packet) {
-			n++
-			ln.quarantinedPkts++
-			w.pktPool.Put(pkt)
-		})
-		b.Reset()
-		w.batchPool.Put(b)
-	}
+	n := w.dropAggregate(it.pending, &it.ln.QuarantinedPackets)
 	if tr := w.sys.cfg.Tracer; tr != nil {
-		tr.EmitT(w.now(), trace.KindIntegrityQuarantine, int32(w.id), ln.tenant, it.dev.Name,
+		tr.EmitT(w.now(), trace.KindIntegrityQuarantine, int32(w.id), it.ln.tenant, it.dev.Name,
 			int64(it.task.ID), n, 0, int64(it.dev.TraceActor))
 	}
 }
@@ -827,27 +783,19 @@ func (w *worker) resumeAggregate(p *offload.Pending) {
 // the kernel, or a hung task's kernel had finished), the results are valid
 // and only the rescue is counted.
 func (w *worker) fallback(it *inflightTask, timedOut bool) {
-	p := it.pending
-	ln := it.ln
+	reason := int64(0)
 	if timedOut {
-		ln.timedOutTasks++
+		it.ln.TimedOutTasks++
+		reason = 1
 	} else {
-		ln.failedTasks++
+		it.ln.FailedTasks++
 	}
-	ln.fallbackPkts += uint64(p.NPkts)
-	if tr := w.sys.cfg.Tracer; tr != nil {
-		reason := int64(0)
-		if timedOut {
-			reason = 1
-		}
-		tr.EmitT(w.now(), trace.KindFallback, int32(w.id), ln.tenant, "fallback",
-			int64(it.task.ID), int64(p.NPkts), reason, 0)
-	}
+	w.noteFallback(it.ln, it.pending, int64(it.task.ID), reason, 0)
 	if it.executed {
 		return
 	}
 	it.executed = true
-	w.execChainOnCPU(p)
+	w.execChainOnCPU(it.pending)
 }
 
 // execChainOnCPU re-executes an aggregate's device-side computation on the
@@ -900,7 +848,7 @@ func (w *worker) Transmit(pkt *packet.Packet) {
 		flen = pkt.Length()
 	}
 	w.sys.ports[port].Transmit(flen)
-	ln.txPackets++
+	ln.TxPackets++
 	if w.sys.measuring {
 		// Wire bytes stop accruing when arrivals stop (mirroring the port
 		// meter's Mark..End window) so drain traffic never inflates the
@@ -952,7 +900,7 @@ func (w *worker) Offload(head *graph.Node, chain []*graph.Node, resume int, b *b
 		// Inconsistent aggregate (mixed devices): drop the batch. Counted
 		// into splitDropped so conservation still balances.
 		b.ForEachLive(func(i int, pkt *packet.Packet) {
-			ln.splitDropped++
+			ln.GraphDrops++
 			w.pktPool.Put(pkt)
 		})
 		w.PutBatch(b)

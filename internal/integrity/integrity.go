@@ -315,14 +315,20 @@ const (
 	ActionFailStop
 )
 
-// Tracker keeps the per-device EWMA corruption scores and decides
-// escalation. One tracker serves the whole run (device indices are global).
+// Tracker keeps the per-device EWMA corruption scores and owns the
+// escalation ladder: it decides demotion and fail-stop, remembers which
+// devices it demoted or fail-stopped, re-admits them at the recovery probe,
+// and records when the run saw its first mismatch. One tracker serves the
+// whole run (device indices are global).
 type Tracker struct {
 	cfg     *Config
 	scores  []float64
 	consec  []int
 	demoted []bool
 	failed  []bool
+
+	mismatchSeen  bool
+	firstMismatch simtime.Time
 }
 
 // NewTracker creates a tracker for ndev devices.
@@ -336,10 +342,16 @@ func NewTracker(cfg *Config, ndev int) *Tracker {
 	}
 }
 
-// Observe folds one sentinel check result into dev's score and returns the
-// escalation the system must apply. Observations against a fail-stopped
-// device (completions already in flight when it was stopped) are ignored.
-func (t *Tracker) Observe(dev int, mismatch bool) Action {
+// Observe folds one sentinel check result, made at virtual time now, into
+// dev's score and returns the escalation the system must apply: on
+// ActionFailStop it schedules Probe after the config's ProbeAfter.
+// Observations against a fail-stopped device (completions already in flight
+// when it was stopped) count toward the first mismatch but not the score.
+func (t *Tracker) Observe(dev int, mismatch bool, now simtime.Time) Action {
+	if mismatch && !t.mismatchSeen {
+		t.mismatchSeen = true
+		t.firstMismatch = now
+	}
 	if t.failed[dev] {
 		return ActionNone
 	}
@@ -371,11 +383,21 @@ func (t *Tracker) Consecutive(dev int) int { return t.consec[dev] }
 // FailStopped reports whether dev is currently fail-stopped by the tracker.
 func (t *Tracker) FailStopped(dev int) bool { return t.failed[dev] }
 
-// Readmit clears dev's state after a recovery probe: the device starts over
-// with a clean score and its weight bounds restored by the caller.
-func (t *Tracker) Readmit(dev int) {
+// FirstMismatchAt returns the virtual time of the run's first mismatch, zero
+// when there was none.
+func (t *Tracker) FirstMismatchAt() simtime.Time { return t.firstMismatch }
+
+// Probe is the recovery probe of a fail-stopped device: it starts dev over
+// with a clean score and reports true, telling the caller to return the
+// device to service and release its weight bounds. A device no longer
+// fail-stopped is left alone and Probe reports false.
+func (t *Tracker) Probe(dev int) bool {
+	if !t.failed[dev] {
+		return false
+	}
 	t.scores[dev] = 0
 	t.consec[dev] = 0
 	t.demoted[dev] = false
 	t.failed[dev] = false
+	return true
 }

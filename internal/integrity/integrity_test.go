@@ -202,40 +202,42 @@ func TestTrackerEscalationLadder(t *testing.T) {
 	tr := NewTracker(cfg, 2)
 
 	// First mismatch: score 0.5 crosses DemoteScore once.
-	if got := tr.Observe(0, true); got != ActionDemote {
+	if got := tr.Observe(0, true, 0); got != ActionDemote {
 		t.Fatalf("first mismatch: action %v, want demote", got)
 	}
 	// Second: score 0.75 — demoted already, below fail.
-	if got := tr.Observe(0, true); got != ActionNone {
+	if got := tr.Observe(0, true, 0); got != ActionNone {
 		t.Fatalf("second mismatch: action %v, want none", got)
 	}
 	// Third consecutive: score 0.875 crosses FailScore.
-	if got := tr.Observe(0, true); got != ActionFailStop {
+	if got := tr.Observe(0, true, 0); got != ActionFailStop {
 		t.Fatalf("third mismatch: action %v, want fail-stop", got)
 	}
 	if !tr.FailStopped(0) || tr.Consecutive(0) != 3 {
 		t.Fatalf("post-fail state: failed %v, consec %d", tr.FailStopped(0), tr.Consecutive(0))
 	}
 	// In-flight completions against a fail-stopped device are ignored.
-	if got := tr.Observe(0, true); got != ActionNone {
+	if got := tr.Observe(0, true, 0); got != ActionNone {
 		t.Fatalf("observation on failed device: action %v, want none", got)
 	}
 
 	// The other device is independent and decays on matches.
-	tr.Observe(1, true)
+	tr.Observe(1, true, 0)
 	score := tr.Score(1)
-	tr.Observe(1, false)
+	tr.Observe(1, false, 0)
 	if tr.Score(1) >= score || tr.Consecutive(1) != 0 {
 		t.Fatalf("match did not decay device 1: score %v -> %v, consec %d",
 			score, tr.Score(1), tr.Consecutive(1))
 	}
 
-	// Readmission starts the device over.
-	tr.Readmit(0)
-	if tr.FailStopped(0) || tr.Score(0) != 0 || tr.Consecutive(0) != 0 {
-		t.Fatal("readmit did not reset device 0")
+	// The recovery probe starts the device over, once.
+	if !tr.Probe(0) || tr.FailStopped(0) || tr.Score(0) != 0 || tr.Consecutive(0) != 0 {
+		t.Fatal("probe did not re-admit device 0")
 	}
-	if got := tr.Observe(0, true); got != ActionDemote {
+	if tr.Probe(0) {
+		t.Fatal("probe re-admitted a device that is in service")
+	}
+	if got := tr.Observe(0, true, 0); got != ActionDemote {
 		t.Fatalf("post-readmit mismatch: action %v, want demote (ladder restarts)", got)
 	}
 }

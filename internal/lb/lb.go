@@ -101,7 +101,7 @@ func (e *LoadBalance) Configure(ctx *element.ConfigContext, args []string) error
 		e.Alg = GPUOnly
 	case arg == "adaptive":
 		e.Alg = Adaptive
-		e.state.AdaptiveUsers++ //nbalint:allow sharedstate parse-time count; admit-epoch parses run on the serial engine and NewSystem's read ran before Run started
+		e.state.AdaptiveUsers++
 	case strings.HasPrefix(arg, "fixed="):
 		f, err := strconv.ParseFloat(strings.TrimPrefix(arg, "fixed="), 64)
 		if err != nil || f < 0 || f > 1 {
@@ -160,10 +160,7 @@ type Controller struct {
 	// Tolerance is the relative throughput drop treated as noise rather
 	// than a real degradation (guards against false direction flips).
 	Tolerance float64
-	// Bound, when positive, turns the controller into the bounded-latency
-	// variant (paper §7 future work): throughput is maximised subject to
-	// the socket's p99 latency staying under Bound. Use UpdateWithLatency.
-	Bound simtime.Time
+	Wiring
 
 	avg     *stats.MovingAverage
 	dir     float64
@@ -180,6 +177,15 @@ type Controller struct {
 	recentFails int
 	// Trace records (W, throughput) after each update for diagnostics.
 	Trace []TracePoint
+}
+
+// Wiring attaches a controller to a run; the zero value is a bare
+// controller.
+type Wiring struct {
+	// Bound, when positive, turns the controller into the bounded-latency
+	// variant (paper §7 future work): throughput is maximised subject to
+	// the socket's p99 latency staying under Bound. Use UpdateWithLatency.
+	Bound simtime.Time
 
 	// Tracer, when non-nil, receives one trace.KindLBUpdate event per
 	// control step that changed W (mirroring Trace). TraceNow supplies the
@@ -206,12 +212,14 @@ type TracePoint struct {
 	Throughput float64
 }
 
-// NewController creates an adaptive controller bound to the socket state.
-func NewController(state *State) *Controller {
+// NewController creates an adaptive controller bound to the socket state
+// and wired into its run.
+func NewController(state *State, wiring Wiring) *Controller {
 	state.W = 0.5 // neutral start; the climb direction is discovered
 	return &Controller{
-		state: state,
-		Delta: 0.04,
+		Wiring: wiring,
+		state:  state,
+		Delta:  0.04,
 		// The paper waits 2..32 update intervals of 0.2 s; our virtual-time
 		// runs use millisecond update intervals, so the ramp is scaled down
 		// to keep convergence within a few hundred milliseconds.

@@ -113,7 +113,7 @@ func TestControllerClimbsToOptimum(t *testing.T) {
 	// Synthetic throughput landscape peaking at w=0.8 (the paper's Figure 2
 	// shape): the controller must converge near the peak.
 	st := &State{}
-	c := NewController(st)
+	c := NewController(st, Wiring{})
 	landscape := func(w float64) float64 {
 		return 18 - 12*(w-0.8)*(w-0.8) // Gbps-ish, max at 0.8
 	}
@@ -132,7 +132,7 @@ func TestControllerClimbsToOptimum(t *testing.T) {
 func TestControllerMonotoneLandscapes(t *testing.T) {
 	// CPU-better workload: throughput decreases with w; W must fall to ~0.
 	st := &State{}
-	c := NewController(st)
+	c := NewController(st, Wiring{})
 	for step := 0; step < 2000; step++ {
 		c.Observe(40 - 20*st.W)
 		c.Update()
@@ -143,7 +143,7 @@ func TestControllerMonotoneLandscapes(t *testing.T) {
 
 	// GPU-better workload: throughput increases with w; W must rise to ~1.
 	st2 := &State{}
-	c2 := NewController(st2)
+	c2 := NewController(st2, Wiring{})
 	for step := 0; step < 4000; step++ {
 		c2.Observe(20 + 20*st2.W)
 		c2.Update()
@@ -157,7 +157,7 @@ func TestControllerReconvergesAfterWorkloadChange(t *testing.T) {
 	// The paper inserts continuous perturbations so w can find a new
 	// convergence point when the workload changes.
 	st := &State{}
-	c := NewController(st)
+	c := NewController(st, Wiring{})
 	peak := 0.2
 	landscape := func(w float64) float64 { return 30 - 25*(w-peak)*(w-peak) }
 	for step := 0; step < 2500; step++ {
@@ -180,7 +180,7 @@ func TestControllerReconvergesAfterWorkloadChange(t *testing.T) {
 
 func TestControllerWaitRamp(t *testing.T) {
 	st := &State{}
-	c := NewController(st)
+	c := NewController(st, Wiring{})
 	// At high w the controller waits longer between moves.
 	st.W = 1.0
 	c.Observe(10)
@@ -205,7 +205,7 @@ func TestUpdateEmptyWindowNoFlip(t *testing.T) {
 	// with no intervening Observe used to compare Mean()==0 against last
 	// and spuriously flip the climb direction (and clobber last with 0).
 	st := &State{}
-	c := NewController(st)
+	c := NewController(st, Wiring{})
 	// Prime the controller as if it had been climbing on real samples.
 	c.Observe(10)
 	c.Update()

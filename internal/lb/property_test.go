@@ -24,7 +24,7 @@ func TestConvergesFromAnyStart(t *testing.T) {
 	f := func(w float64) float64 { return 40 - 60*(w-peak)*(w-peak) }
 	for start := 0.0; start <= 1.0; start += 0.1 {
 		st := &State{}
-		c := NewController(st)
+		c := NewController(st, Wiring{})
 		st.W = start
 		drive(c, st, f, 3000)
 		if math.Abs(st.W-peak) > 0.15 {
@@ -38,7 +38,7 @@ func TestBoundaryDwellGrowsMonotonically(t *testing.T) {
 	// perturbation must lengthen the dwell at the boundary (the paper's
 	// gradually-increasing waiting interval), monotonically up to the cap.
 	st := &State{}
-	c := NewController(st)
+	c := NewController(st, Wiring{})
 	st.W = 1
 	f := func(w float64) float64 { return 10 + 5*w }
 	var departures []int // update indices where a perturbation left w=1
@@ -72,7 +72,7 @@ func TestInfeasibleLatencyBoundParksAtZero(t *testing.T) {
 	// When even w=0 cannot satisfy the latency bound, the bounded-latency
 	// controller must park at w=0 (shed load) rather than oscillate.
 	st := &State{}
-	c := NewController(st)
+	c := NewController(st, Wiring{})
 	c.Bound = 100_000_000 // 100 us in ps
 	for i := 0; i < 200; i++ {
 		c.Observe(10)
@@ -98,7 +98,7 @@ func TestReclimbsAfterFailuresStop(t *testing.T) {
 	const peak = 0.6
 	f := func(w float64) float64 { return 40 - 60*(w-peak)*(w-peak) }
 	st := &State{}
-	c := NewController(st)
+	c := NewController(st, Wiring{})
 	drive(c, st, f, 2500)
 	if math.Abs(st.W-peak) > 0.15 {
 		t.Fatalf("pre-fault: W = %v, want ~%v", st.W, peak)

@@ -293,36 +293,31 @@ func NewPort(hw sysinfo.Port, nqueues int, gen Generator, offeredPPS float64, qu
 }
 
 // QueueSpec describes one RX queue of a multi-tenant port: the tenant it
-// serves, that tenant's traffic generator and the queue's share of the
-// port's offered rate.
+// serves, that tenant's traffic generator, the end of arrivals, and the
+// run's trace and invariant hooks. Multi-tenant core lays queues out
+// tenant-major (tenant t's queue for same-socket worker w is index
+// t*nworkers+w).
 type QueueSpec struct {
-	Tenant int32
-	Gen    Generator
-	PPS    float64
+	Tenant  int32
+	Gen     Generator
+	Stop    simtime.Time
+	Tracer  *trace.Tracer
+	Checker *invariant.Checker
 }
 
-// NewPortWithQueues creates a port with one RX queue per spec, in spec
-// order. Multi-tenant core lays queues out tenant-major (tenant t's queue
-// for same-socket worker w is index t*nworkers+w), so NewPort remains the
-// single-tenant RSS special case of this constructor.
-func NewPortWithQueues(hw sysinfo.Port, specs []QueueSpec, queueCap int) *Port {
-	p := &Port{HW: hw}
-	for qi, sp := range specs {
-		q := NewRxQueue(hw.ID, qi, sp.Gen, sp.PPS, queueCap)
-		q.Tenant = sp.Tenant
-		p.Rx = append(p.Rx, q)
-	}
-	return p
-}
-
-// AddQueue appends one RX queue to the port mid-run (tenant admission).
-// The queue starts with zero rate — the caller re-splits per-queue rates
-// after the admit commit — and no arrivals accrue before `now` because the
-// rate segment's base is anchored there.
+// AddQueue appends one RX queue to the port. The queue starts with zero
+// rate — the caller sets per-queue rates once the tenant set is known —
+// and no arrivals accrue before `now` because the rate segment's base is
+// anchored there.
 func (p *Port) AddQueue(now simtime.Time, sp QueueSpec, queueCap int) *RxQueue {
-	q := NewRxQueue(p.HW.ID, len(p.Rx), sp.Gen, 0, queueCap)
-	q.Tenant = sp.Tenant //nbalint:allow sharedstate admit-epoch queue add on the serial engine; boot-time writes ran before Run started
-	q.baseTime = now
+	if queueCap <= 0 {
+		panic(fmt.Sprintf("netio: rx queue capacity %d", queueCap))
+	}
+	q := &RxQueue{
+		Port: p.HW.ID, Queue: len(p.Rx), Tenant: sp.Tenant,
+		gen: sp.Gen, capacity: queueCap, baseTime: now, stopTime: sp.Stop,
+		Tracer: sp.Tracer, Checker: sp.Checker,
+	}
 	p.Rx = append(p.Rx, q) //nbalint:allow sharedstate admit-epoch queue add on the serial engine; NewSystem's reads ran before Run started and report's after it drains
 	return q
 }
@@ -330,17 +325,6 @@ func (p *Port) AddQueue(now simtime.Time, sp QueueSpec, queueCap int) *RxQueue {
 // Transmit accounts one outgoing frame.
 func (p *Port) Transmit(frameLen int) {
 	p.TxM.Counter.Add(1, frameLen+sysinfo.WireOverheadBytes)
-}
-
-// RxStats sums the port's queue statistics.
-func (p *Port) RxStats() (delivered, dropped, allocFailed uint64) {
-	for _, q := range p.Rx {
-		d, dr, af := q.Stats()
-		delivered += d
-		dropped += dr
-		allocFailed += af
-	}
-	return
 }
 
 // OfferedPPS converts an offered wire-rate (bits per second) into packets

@@ -17,15 +17,17 @@
 //     for a full interval are dropped at increasing rate (the classic
 //     interval/sqrt(count) control law) until the standing queue drains.
 //     No wall time anywhere, so runs stay bit-reproducible.
-//   - Governor — a per-socket state machine reacting to sustained
+//   - Governor — a per-(socket, tenant) state machine reacting to sustained
 //     saturation with stepwise graceful degradation: Normal → Trim (shrink
-//     the offload aggregation age) → Bias (clamp the ALB weight toward the
-//     uncongested processor) → Shed (admission rejections are dropped
-//     instead of rescued), stepping back up after sustained recovery.
+//     the offload aggregation age) → Bias (ratchet the ALB weight bounds
+//     toward the uncongested processor) → Shed (admission rejections are
+//     dropped instead of rescued), stepping back up after sustained
+//     recovery. Its Tick decides, from one window's saturation signals,
+//     what the datapath must actuate.
 //
-// Everything here is pure state-machine logic; the wiring lives in
-// internal/core (worker/system), internal/gpu (admission) and internal/lb
-// (weight bounds).
+// Everything here is pure state-machine logic; internal/core gathers the
+// signals and actuates the decisions, internal/gpu enforces admission and
+// internal/lb holds the weight bounds.
 package overload
 
 import (
@@ -140,24 +142,70 @@ func (l Level) String() string {
 	}
 }
 
-// Governor is the per-socket overload state machine. It degrades one level
-// after StepDown consecutive saturated windows and recovers one level after
-// StepUp consecutive clear windows; either streak resets on the opposite
-// observation, so an alternating signal at the boundary holds the level
-// steady instead of oscillating.
+// Governor is the per-(socket, tenant) overload state machine and the
+// policy it drives. It degrades one level after StepDown consecutive
+// saturated windows and recovers one level after StepUp consecutive clear
+// windows; either streak resets on the opposite observation, so an
+// alternating signal at the boundary holds the level steady instead of
+// oscillating. Tick turns each window's signals into the Step the datapath
+// actuates.
 type Governor struct {
-	stepDown, stepUp int
+	cfg Config
 
 	level       Level
 	peak        Level
 	satStreak   int
 	clearStreak int
+
+	// prevDrops / prevShed are the cumulative CPU-side counters at the
+	// previous window; growth since then is CPU-side saturation.
+	prevDrops, prevShed uint64
 }
 
-// NewGovernor creates a governor with the config's hysteresis.
+// NewGovernor creates a governor with the config's hysteresis and policy.
 func NewGovernor(cfg Config) *Governor {
-	cfg = cfg.WithDefaults()
-	return &Governor{stepDown: cfg.StepDown, stepUp: cfg.StepUp}
+	return &Governor{cfg: cfg.WithDefaults()}
+}
+
+// Step is what one governor window asks the datapath to actuate.
+type Step struct {
+	// Level is the level after the window, Prev the level before it.
+	Level, Prev Level
+	// DeviceSat and CPUSat are the window's saturation signals.
+	DeviceSat, CPUSat bool
+	// Changed marks a level transition; AgeScale is then the offload
+	// aggregation-age scale for the tenant's lanes (TrimAgeScale at
+	// LevelTrim and above, 1 below).
+	Changed  bool
+	AgeScale float64
+	// Release asks for the tenant's ALB weight bounds to be released: the
+	// tenant left LevelBias on the way up.
+	Release bool
+	// Ratchet asks for the bounds to move one BiasStep toward the
+	// uncongested processor: the ceiling down toward the CPU when only the
+	// device side is saturated, the floor up toward the device when only
+	// the CPU side is.
+	Ratchet bool
+}
+
+// Tick folds one governor window. devSat reports a saturated device on the
+// tenant's socket; rxDrops and shed are the tenant's cumulative RX drops and
+// overload sheds on that socket, whose growth since the previous window is
+// the CPU-side signal.
+func (g *Governor) Tick(devSat bool, rxDrops, shed uint64) Step {
+	cpuSat := rxDrops > g.prevDrops || shed > g.prevShed
+	g.prevDrops, g.prevShed = rxDrops, shed
+	st := Step{Prev: g.level, DeviceSat: devSat, CPUSat: cpuSat}
+	st.Level, st.Changed = g.Observe(devSat || cpuSat)
+	if st.Changed {
+		st.AgeScale = 1
+		if st.Level >= LevelTrim {
+			st.AgeScale = g.cfg.TrimAgeScale
+		}
+		st.Release = st.Level < LevelBias && st.Prev >= LevelBias
+	}
+	st.Ratchet = st.Level >= LevelBias && devSat != cpuSat
+	return st
 }
 
 // Level returns the current degradation level.
@@ -172,7 +220,7 @@ func (g *Governor) Observe(saturated bool) (Level, bool) {
 	if saturated {
 		g.clearStreak = 0
 		g.satStreak++
-		if g.satStreak >= g.stepDown && g.level < LevelShed {
+		if g.satStreak >= g.cfg.StepDown && g.level < LevelShed {
 			g.satStreak = 0
 			g.level++
 			if g.level > g.peak {
@@ -184,7 +232,7 @@ func (g *Governor) Observe(saturated bool) (Level, bool) {
 	}
 	g.satStreak = 0
 	g.clearStreak++
-	if g.clearStreak >= g.stepUp && g.level > LevelNormal {
+	if g.clearStreak >= g.cfg.StepUp && g.level > LevelNormal {
 		g.clearStreak = 0
 		g.level--
 		return g.level, true
