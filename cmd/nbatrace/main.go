@@ -103,7 +103,12 @@ func record(args []string) {
 			Seed:              *seed,
 		},
 	}
-	appLabel, label := *app, ""
+	appLabel := *app
+	if *tenants != "" {
+		appLabel = "tenants:" + *tenants
+	}
+	label := fmt.Sprintf("app=%s lb=%s gbps=%g size=%d workers=%d seed=%d",
+		appLabel, *lbAlg, *gbps, *size, *workers, *seed)
 	switch {
 	case *scenario != "":
 		fs.Visit(func(f *flag.Flag) {
@@ -126,11 +131,7 @@ func record(args []string) {
 		if err != nil {
 			fatal(err)
 		}
-		spec.Tenants, appLabel = ts, "tenants:"+*tenants
-	}
-	if label == "" {
-		label = fmt.Sprintf("app=%s lb=%s gbps=%g size=%d workers=%d seed=%d",
-			appLabel, *lbAlg, *gbps, *size, *workers, *seed)
+		spec.Tenants = ts
 	}
 	tr := trace.New(trace.Options{Capacity: *events})
 	spec.Tracer = tr

@@ -54,8 +54,7 @@ const (
 )
 
 // CaseHorizon is the virtual time one chaos run simulates (warmup plus
-// measured duration). The perf trajectory uses it to convert executed cases
-// into simulated seconds.
+// measured duration).
 func CaseHorizon() simtime.Time { return caseWarmup + caseDuration }
 
 // Case is one chaos run: an application (or a co-resident tenant mix), a

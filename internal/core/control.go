@@ -282,14 +282,16 @@ func (e epochTarget) Quiesce(ev reconfig.Event) reconfig.Record {
 	return rec
 }
 
-// Drained implements reconfig.Target. Admit, retune, plug and resize epochs
-// have nothing in flight and drain at once.
+// Drained implements reconfig.Target: an evicted tenant's lanes have no
+// outstanding device task and are idle; an unplugged device's queue is
+// empty. Admit, retune, plug and resize epochs have nothing in flight and
+// drain at once.
 func (e epochTarget) Drained(ev reconfig.Event) bool {
 	switch ev.Kind {
 	case reconfig.TenantEvict:
 		t := e.tenantIndex(ev.Tenant)
 		for _, w := range e.workers {
-			if !w.laneDrained(t, e.eng.Now()) {
+			if ln := w.lanes[t]; ln.inflightTasks > 0 || !ln.idle(e.eng.Now()) {
 				return false
 			}
 		}

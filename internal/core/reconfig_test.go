@@ -6,6 +6,7 @@ import (
 	"nba/internal/fault"
 	"nba/internal/gen"
 	"nba/internal/invariant"
+	"nba/internal/overload"
 	"nba/internal/reconfig"
 	"nba/internal/simtime"
 	"nba/internal/sysinfo"
@@ -299,5 +300,58 @@ func TestReconfigConfigValidation(t *testing.T) {
 		if _, err := NewSystem(cfg); err == nil {
 			t.Errorf("%s: NewSystem accepted an invalid reconfig config", tc.name)
 		}
+	}
+}
+
+// TestWReleaseKeepsUnpluggedSocketClosed pins that releasing the ALB weight
+// bounds never reopens offload on a socket whose devices are all unplugged.
+// A 12x load burst drives the governor to LevelBias, the socket's only device
+// is unplugged mid-burst (commit closes the bounds at (0, 0)), and after the
+// burst the governor steps back below Bias, which releases the bounds: the
+// ceiling must stay 0, or W climbs again and every offloaded aggregate takes
+// the unplugged-rescue CPU path until the run ends.
+func TestWReleaseKeepsUnpluggedSocketClosed(t *testing.T) {
+	tr := trace.New(trace.Options{Capacity: 1 << 16, Mask: 1 << trace.KindFallback})
+	sys, err := NewSystem(Config{
+		Topology: sysinfo.SingleSocketTopology(4, 2),
+		Tenants: []Tenant{{Name: "ipsec", GraphConfig: sprintfConfig(ipsecConfigTpl, "adaptive"),
+			Generator: &gen.UDP4{FrameLen: 64, Flows: 1024, Seed: 1}}},
+		OfferedBpsPerPort: 0.1e9,
+		Warmup:            2 * simtime.Millisecond,
+		Duration:          40 * simtime.Millisecond,
+		Seed:              7,
+		ALBUpdate:         simtime.Millisecond,
+		ALBObserve:        200 * simtime.Microsecond,
+		Overload:          tightOverload(),
+		Tracer:            tr,
+		FaultPlan:         &fault.Plan{Events: fault.Burst(3*simtime.Millisecond, 6*simtime.Millisecond, 12)},
+		Reconfig: &reconfig.Plan{Events: []reconfig.Event{
+			{At: 6 * simtime.Millisecond, Kind: reconfig.DeviceUnplug, Device: 0},
+		}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := sys.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.OverloadPeak < overload.LevelBias {
+		t.Fatalf("governor peaked at %v; the scenario needs it to reach bias", r.OverloadPeak)
+	}
+	if lo, hi := sys.controllers[0][0].WBounds(); lo != 0 || hi != 0 {
+		t.Errorf("final W bounds (%v, %v), want (0, 0) with every device unplugged", lo, hi)
+	}
+	if r.FinalW != 0 {
+		t.Errorf("final W = %v, want 0 with every device unplugged", r.FinalW)
+	}
+	late := 0
+	for _, ev := range tr.Events() {
+		if ev.Kind == trace.KindFallback && ev.C == 3 && ev.At > 20*simtime.Millisecond {
+			late++
+		}
+	}
+	if late > 0 {
+		t.Errorf("%d unplugged-rescue fallbacks after 20 ms: offload reopened on a socket without devices", late)
 	}
 }

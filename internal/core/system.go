@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"nba/internal/batch"
 	"nba/internal/conflang"
 	"nba/internal/element"
 	"nba/internal/fault"
@@ -190,6 +191,12 @@ func NewSystem(cfg Config) (*System, error) {
 		if err := s.installTenant(pt, pt.Share); err != nil {
 			return nil, err
 		}
+	}
+	// Pools after lanes: the garbage of building the shared lookup tables
+	// is collected before the pools' memory is live, which bounds peak RSS.
+	for _, w := range s.workers {
+		w.pktPool = netio.NewPacketPool(fmt.Sprintf("pkt.w%d", w.id), cfg.PacketPoolPerWorker)
+		w.batchPool = batch.NewPool(fmt.Sprintf("batch.w%d", w.id), cfg.BatchPoolPerWorker)
 	}
 	s.recomputeShares()
 	s.applyRate()

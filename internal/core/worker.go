@@ -169,8 +169,6 @@ func newWorker(s *System, id, socket, local int, localPorts, localDevs []int) *w
 		localPorts:  localPorts,
 		localDevs:   localDevs,
 		wrr:         sched.NewWRR(nil),
-		pktPool:     netio.NewPacketPool(fmt.Sprintf("pkt.w%d", id), s.cfg.PacketPoolPerWorker),
-		batchPool:   batch.NewPool(fmt.Sprintf("batch.w%d", id), s.cfg.BatchPoolPerWorker),
 		completions: mempool.NewRing[completion](256),
 	}
 	if len(localDevs) > 0 {
@@ -363,13 +361,6 @@ func (w *worker) iterate() {
 	w.sys.eng.After(next, w.iterateFn)
 }
 
-// laneDrained is the epoch drain predicate for one lane: no outstanding
-// device tasks or unprocessed completions, and the lane idle.
-func (w *worker) laneDrained(t int, now simtime.Time) bool {
-	ln := w.lanes[t]
-	return ln.inflightTasks == 0 && ln.idle(now)
-}
-
 // idle reports that the lane has no pending aggregate and every live RX
 // queue is empty. A queue still flapped down can never drain: its backlog
 // is stranded (the packets were never materialised), so it must not keep
@@ -556,9 +547,8 @@ func (w *worker) flush(p *offload.Pending) {
 	}
 }
 
-// pushCompletion hands a completion to the IO loop. At most
-// MaxInflightTasks tasks plus one epoch rescue's aggregates are ever
-// outstanding, so an overflow is a bug.
+// pushCompletion hands a completion to the IO loop. The ring is sized far
+// above the worker's outstanding tasks, so an overflow is a bug.
 func (w *worker) pushCompletion(c completion) {
 	if !w.completions.Push(c) {
 		panic(fmt.Sprintf("core: worker %d completion ring overflow", w.id))

@@ -326,7 +326,7 @@ func (p *Plan) Sorted() []Event {
 
 // GPUOutage is the canonical outage scenario: device dev fails at failAt and
 // recovers at recoverAt. It is the plan behind the `faults` bench scenario
-// and the nbatrace record -faults self-check.
+// and the ipsec_fixed08_faults bench scenario.
 func GPUOutage(failAt, recoverAt simtime.Time, dev int) *Plan {
 	return &Plan{Events: []Event{
 		{At: failAt, Kind: DeviceFail, Device: dev},
@@ -337,7 +337,7 @@ func GPUOutage(failAt, recoverAt simtime.Time, dev int) *Plan {
 // Corruption is the canonical silent-corruption scenario: device dev starts
 // flipping bits at `at` (per-aggregate probability prob, XOR pattern) and
 // stops at recoverAt. It is the plan behind the `integrity` bench scenario
-// and the nbatrace record -corrupt self-check.
+// and the ipsec_fixed08_corrupt bench scenario.
 func Corruption(at, recoverAt simtime.Time, dev int, prob float64, pattern byte) *Plan {
 	return &Plan{Events: []Event{
 		{At: at, Kind: DeviceCorrupt, Device: dev, CorruptProb: prob, FlipPattern: pattern},

@@ -221,3 +221,39 @@ func TestCoDelDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestGovernorTickDecisions walks one governor through the decision table:
+// trim on the way down and off on the way up, the ratchet direction for
+// device-side versus CPU-side saturation (none when both or neither side is
+// saturated), and the bounds release on leaving LevelBias upward.
+func TestGovernorTickDecisions(t *testing.T) {
+	g := NewGovernor(Config{StepDown: 1, StepUp: 1, TrimAgeScale: 0.25, BiasStep: 0.1})
+	steps := []struct {
+		name        string
+		devSat      bool
+		drops, shed uint64 // cumulative
+		want        Step
+	}{
+		{"device saturated: trim on", true, 0, 0,
+			Step{Level: LevelTrim, Prev: LevelNormal, DeviceSat: true, Changed: true, AgeScale: 0.25}},
+		{"RX drops grew: bias, floor up toward the device", false, 5, 0,
+			Step{Level: LevelBias, Prev: LevelTrim, CPUSat: true, Changed: true, AgeScale: 0.25, Ratchet: true}},
+		{"device saturated at bias: shed, ceiling down toward the CPU", true, 5, 0,
+			Step{Level: LevelShed, Prev: LevelBias, DeviceSat: true, Changed: true, AgeScale: 0.25, Ratchet: true}},
+		{"both sides saturated: no direction to ratchet", true, 5, 1,
+			Step{Level: LevelShed, Prev: LevelShed, DeviceSat: true, CPUSat: true}},
+		{"clear: back to bias, nothing to ratchet", false, 5, 1,
+			Step{Level: LevelBias, Prev: LevelShed, Changed: true, AgeScale: 0.25}},
+		{"clear: leaving bias releases the bounds", false, 5, 1,
+			Step{Level: LevelTrim, Prev: LevelBias, Changed: true, AgeScale: 0.25, Release: true}},
+		{"clear: trim off", false, 5, 1,
+			Step{Level: LevelNormal, Prev: LevelTrim, Changed: true, AgeScale: 1}},
+		{"sheds grew alone: CPU-side saturation", false, 5, 4,
+			Step{Level: LevelTrim, Prev: LevelNormal, CPUSat: true, Changed: true, AgeScale: 0.25}},
+	}
+	for _, s := range steps {
+		if got := g.Tick(s.devSat, s.drops, s.shed); got != s.want {
+			t.Fatalf("%s:\n got  %+v\n want %+v", s.name, got, s.want)
+		}
+	}
+}

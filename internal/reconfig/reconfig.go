@@ -1,8 +1,9 @@
 // Package reconfig is the deterministic runtime-reconfiguration control
 // plane: scripted timelines of control-plane changes (tenant admit/evict,
-// traffic-share retune, device hot-plug/unplug, RX-queue resize) that
-// core.System applies to a *running* datapath via an epoch-based
-// drain-and-handoff protocol.
+// traffic-share retune, device hot-plug/unplug, RX-queue resize) that a
+// Driver applies to a *running* datapath via an epoch-based
+// drain-and-handoff protocol, calling back into the datapath (core.System)
+// through the Target interface for each per-kind action.
 //
 // A Plan is pure data. Like a fault plan, it is part of a run's identity:
 // the same configuration + seed + plan always produce the same trace
@@ -266,11 +267,11 @@ func (p *Plan) Sorted() []Event {
 	return out
 }
 
-// Churn is the canonical churn scenario behind `nbatrace record -reconfig`
-// and the bench `reconfig` experiment: the named latent tenant is admitted
-// at 1/4 of the span, its share is doubled at 1/2, and it is evicted at
-// 3/4 — so one recording exercises admit, retune and evict epochs against
-// a steady victim.
+// Churn is the canonical churn scenario behind the tenants_ipv4_ids_reconfig
+// bench scenario and the bench `reconfig` experiment: the named latent
+// tenant is admitted at 1/4 of the span, its share is doubled at 1/2, and
+// it is evicted at 3/4 — so one recording exercises admit, retune and evict
+// epochs against a steady victim.
 func Churn(span simtime.Time, tenant string) *Plan {
 	return &Plan{Events: []Event{
 		{At: span / 4, Kind: TenantAdmit, Tenant: tenant},
