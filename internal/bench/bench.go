@@ -195,11 +195,11 @@ func Execute(spec RunSpec) (*core.Report, error) {
 	return rep, err
 }
 
-// simAccount accumulates the virtual time simulated by Execute
-// since the last ResetSimSeconds, atomically so concurrent grid points can
-// add to it. It feeds the sim-seconds-per-second trajectory metric reported
-// by the repository benchmarks (sums are commutative,
-// so the total stays deterministic under any parallelism).
+// simAccount accumulates the virtual time simulated by Execute since the
+// last ResetSimSeconds, atomically so concurrent grid points can add to it.
+// It feeds the sim-seconds-per-second metric the root package's Go
+// benchmarks report (sums are commutative, so the total stays deterministic
+// under any parallelism).
 var simAccount atomic.Int64
 
 // ResetSimSeconds zeroes the simulated-time account.

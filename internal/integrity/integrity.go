@@ -343,8 +343,8 @@ func NewTracker(cfg *Config, ndev int) *Tracker {
 }
 
 // Observe folds one sentinel check result, made at virtual time now, into
-// dev's score and returns the escalation the system must apply: on
-// ActionFailStop it schedules Probe after the config's ProbeAfter.
+// dev's score and returns the escalation the system must apply; after
+// ActionFailStop the caller runs Probe once the config's ProbeAfter passed.
 // Observations against a fail-stopped device (completions already in flight
 // when it was stopped) count toward the first mismatch but not the score.
 func (t *Tracker) Observe(dev int, mismatch bool, now simtime.Time) Action {
