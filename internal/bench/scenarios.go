@@ -23,14 +23,14 @@ type Scenario struct {
 }
 
 // Scenarios returns the scenario list in its fixed order: every sample app
-// CPU-only and offloaded at a fixed fraction, then the armed runs (GPU
+// CPU-only and offloaded at a fixed fraction (so the offload split is
+// deterministic without a controller transient), then the armed runs (GPU
 // outage, overload burst, silent corruption, co-resident tenants, tenant
 // churn).
 func Scenarios() []Scenario {
 	var out []Scenario
 	for _, app := range []string{"ipv4", "ipv6", "ipsec", "ids"} {
 		for _, lb := range []string{"cpu", "fixed=0.8"} {
-			app, lb := app, lb
 			name := app + "_" + strings.NewReplacer("=", "", ".", "").Replace(lb)
 			out = append(out, Scenario{name, func() RunSpec { return scenarioSpec(app, lb, 1e9) }})
 		}

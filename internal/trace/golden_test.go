@@ -17,12 +17,12 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden trace digests from the current code")
 
-// goldenSpec returns the canonical short scenario run for an app and
-// balancer (the ipv4_cpu-style entries of bench.Scenarios).
-func goldenSpec(app, lb string) bench.RunSpec {
-	sc, err := bench.ScenarioByName(app + "_" + strings.NewReplacer("=", "", ".", "").Replace(lb))
+// scenarioSpec returns a fresh spec of the named bench scenario.
+func scenarioSpec(t *testing.T, name string) bench.RunSpec {
+	t.Helper()
+	sc, err := bench.ScenarioByName(name)
 	if err != nil {
-		panic(err)
+		t.Fatal(err)
 	}
 	return sc.Spec()
 }
@@ -167,8 +167,8 @@ func TestGoldenTracesUnchangedByEmptyReconfigPlan(t *testing.T) {
 // bit-identical stream — the dynamic counterpart of cmd/nbalint's static
 // determinism rules.
 func TestGoldenRunsAreDeterministic(t *testing.T) {
-	a := runTraced(t, goldenSpec("ipv4", "fixed=0.8"))
-	b := runTraced(t, goldenSpec("ipv4", "fixed=0.8"))
+	a := runTraced(t, scenarioSpec(t, "ipv4_fixed08"))
+	b := runTraced(t, scenarioSpec(t, "ipv4_fixed08"))
 	if a.Digest() != b.Digest() {
 		d := trace.Diff(a.Events(), b.Events())
 		t.Fatalf("same config+seed diverged: %v", d)
@@ -179,13 +179,13 @@ func TestGoldenRunsAreDeterministic(t *testing.T) {
 // element's cycle cost must change the digest and produce a first-divergence
 // report naming that element.
 func TestCostChangeBreaksGolden(t *testing.T) {
-	base := runTraced(t, goldenSpec("ipv4", "cpu"))
+	base := runTraced(t, scenarioSpec(t, "ipv4_cpu"))
 
 	cm := sysinfo.Default()
 	ec := cm.Elements["IPLookup"]
 	ec.Fixed++ // one cycle more per batch
 	cm.Elements["IPLookup"] = ec
-	spec := goldenSpec("ipv4", "cpu")
+	spec := scenarioSpec(t, "ipv4_cpu")
 	spec.CostModel = cm
 	mod := runTraced(t, spec)
 
