@@ -888,7 +888,7 @@ func (w *worker) Offload(head *graph.Node, chain []*graph.Node, resume int, b *b
 	full, err := ln.agg.Add(w.iterStart, head, chain, resume, b)
 	if err != nil {
 		// Inconsistent aggregate (mixed devices): drop the batch. Counted
-		// into splitDropped so conservation still balances.
+		// into the lane's GraphDrops so conservation still balances.
 		b.ForEachLive(func(i int, pkt *packet.Packet) {
 			ln.GraphDrops++
 			w.pktPool.Put(pkt)
