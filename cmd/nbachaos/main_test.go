@@ -48,6 +48,13 @@ func TestReplayExitContract(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	noKind := filepath.Join(t.TempDir(), "nokind.json")
+	if err := os.WriteFile(noKind,
+		[]byte(`{"app":"ipv4","seed":1,"events":[{"at_ps":1,"device":0}]}`),
+		0o644); err != nil {
+		t.Fatal(err)
+	}
+
 	cases := []struct {
 		name string
 		args []string
@@ -60,6 +67,7 @@ func TestReplayExitContract(t *testing.T) {
 		{"missing file", []string{filepath.Join(t.TempDir(), "nope.json")}, replayUsage},
 		{"malformed json", []string{badJSON}, replayUsage},
 		{"unknown fault kind", []string{badKind}, replayUsage},
+		{"missing fault kind", []string{noKind}, replayUsage},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

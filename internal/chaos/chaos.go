@@ -15,6 +15,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"strings"
 
 	"nba/internal/bench"
@@ -127,31 +128,37 @@ func Profile() fault.Profile {
 	}
 }
 
-// RandomCase derives the fault plan for (app, seed). The plan depends on
-// both, so sweeping several apps over the same seed range still explores
-// distinct timelines.
-func RandomCase(app string, seed uint64) Case {
-	r := rng.New(seed*0x9E3779B97F4A7C15 + appSalt(app))
-	return Case{App: app, Seed: seed, Plan: fault.RandomPlan(r, Profile())}
+// CaseProfile returns the RandomPlan and plan-validation profile matching
+// the case shape. With co-resident tenants the queue space grows
+// tenant-major, so random RxQueueDown/Up events land on (and thereby
+// target) individual tenants' queues.
+func CaseProfile(c Case) fault.Profile {
+	p := Profile()
+	if n := len(c.Tenants); n > 0 {
+		p.Queues = caseWorkers * n
+	}
+	return p
 }
 
-// TenantProfile is the RandomPlan profile for an n-tenant case: the queue
-// space grows tenant-major, so random RxQueueDown/Up events land on (and
-// thereby target) individual tenants' queues.
-func TenantProfile(n int) fault.Profile {
-	p := Profile()
-	p.Queues = caseWorkers * n
-	return p
+// withRandomPlan draws the case's fault plan from its seed and label, so
+// sweeping several apps or mixes over the same seed range still explores
+// distinct timelines.
+func withRandomPlan(c Case) Case {
+	r := rng.New(c.Seed*0x9E3779B97F4A7C15 + appSalt(c.Label()))
+	c.Plan = fault.RandomPlan(r, CaseProfile(c))
+	return c
+}
+
+// RandomCase derives the fault plan for (app, seed).
+func RandomCase(app string, seed uint64) Case {
+	return withRandomPlan(Case{App: app, Seed: seed})
 }
 
 // RandomTenantCase derives a co-residency case: the listed apps as
 // equal-share tenants with a fault plan drawn from the widened,
 // tenant-targeting queue space.
 func RandomTenantCase(apps []string, seed uint64) Case {
-	c := Case{Tenants: apps, Seed: seed}
-	r := rng.New(seed*0x9E3779B97F4A7C15 + appSalt(c.Label()))
-	c.Plan = fault.RandomPlan(r, TenantProfile(len(apps)))
-	return c
+	return withRandomPlan(Case{Tenants: apps, Seed: seed})
 }
 
 // ReconfigProfile is the reconfig.RandomPlan profile for a case's tenant
@@ -186,14 +193,6 @@ func RandomReconfigCase(apps, latent []string, seed uint64) Case {
 	r := rng.New(seed*0xD1B54A32D192ED03 + appSalt(c.Label()+"+reconfig"))
 	c.Reconfig = reconfig.RandomPlan(r, ReconfigProfile(apps, latent))
 	return c
-}
-
-// CaseProfile returns the plan-validation profile matching the case shape.
-func CaseProfile(c Case) fault.Profile {
-	if len(c.Tenants) > 1 {
-		return TenantProfile(len(c.Tenants))
-	}
-	return Profile()
 }
 
 // appSalt folds the app name into the plan seed (FNV-1a).
@@ -247,34 +246,23 @@ func Run(c Case) (*Outcome, error) {
 	if c.DisarmSampling {
 		cfg.Integrity.SampleRate = 0
 	}
-	if len(c.Tenants) > 0 {
-		for i, app := range c.Tenants {
-			cfgText, err := bench.AppConfig(app, "adaptive")
-			if err != nil {
-				return nil, err
-			}
-			cfg.Tenants = append(cfg.Tenants, core.Tenant{
-				// Index prefix keeps names unique when a mix repeats an app.
-				Name:        tenantName(i, app),
-				GraphConfig: cfgText,
-				Share:       1,
-				Generator:   bench.GeneratorFor(app, 64, c.Seed+1+uint64(i)),
-			})
+	if n := len(c.Tenants); n > 0 {
+		// The latent pool continues the generator seed stream past the
+		// active tenants, so an admitted tenant's traffic is independent of
+		// the mix.
+		all, err := bench.AppTenants(slices.Concat(c.Tenants, c.Latent), "adaptive", 64, c.Seed)
+		if err != nil {
+			return nil, err
 		}
-		for i, app := range c.Latent {
-			cfgText, err := bench.AppConfig(app, "adaptive")
-			if err != nil {
-				return nil, err
+		for i := range all {
+			// Index prefixes keep names unique when a mix repeats an app.
+			if i < n {
+				all[i].Name = tenantName(i, all[i].Name)
+			} else {
+				all[i].Name = latentName(i-n, all[i].Name)
 			}
-			cfg.LatentTenants = append(cfg.LatentTenants, core.Tenant{
-				Name:        latentName(i, app),
-				GraphConfig: cfgText,
-				Share:       1,
-				// The generator seed stream continues past the active tenants
-				// so an admitted tenant's traffic is independent of the mix.
-				Generator: bench.GeneratorFor(app, 64, c.Seed+1+uint64(len(c.Tenants)+i)),
-			})
 		}
+		cfg.Tenants, cfg.LatentTenants = all[:n], all[n:]
 		cfg.Reconfig = c.Reconfig
 	} else {
 		cfgText, err := bench.AppConfig(c.App, "adaptive")
@@ -320,15 +308,18 @@ func digestLine(c Case, out *Outcome) string {
 // sameDigests reports whether two outcomes agree on the global digest and
 // every tenant sub-digest.
 func sameDigests(a, b *Outcome) bool {
-	if a.Digest != b.Digest || len(a.TenantDigests) != len(b.TenantDigests) {
-		return false
+	return a.Digest == b.Digest && slices.Equal(a.TenantDigests, b.TenantDigests)
+}
+
+// crossCheck records a determinism violation on a when a and b, the doubled
+// runs of case c, disagree on any digest.
+func crossCheck(c Case, a, b *Outcome) {
+	if !sameDigests(a, b) {
+		a.Violations = append(a.Violations, invariant.Violation{
+			Check: invariant.CheckDeterminism,
+			Msg:   fmt.Sprintf("trace digests differ across identical runs: %s vs %s", digestLine(c, a), digestLine(c, b)),
+		})
 	}
-	for i := range a.TenantDigests {
-		if a.TenantDigests[i] != b.TenantDigests[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // RunTwice executes the case twice and cross-checks the trace digests: a
@@ -343,12 +334,7 @@ func RunTwice(c Case) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !sameDigests(a, b) {
-		a.Violations = append(a.Violations, invariant.Violation{
-			Check: invariant.CheckDeterminism,
-			Msg:   fmt.Sprintf("trace digests differ across identical runs: %s vs %s", digestLine(c, a), digestLine(c, b)),
-		})
-	}
+	crossCheck(c, a, b)
 	return a, nil
 }
 

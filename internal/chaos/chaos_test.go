@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -157,6 +158,25 @@ func TestShrinkRespectsBudget(t *testing.T) {
 	}
 }
 
+// TestShrinkHalvesZeroFactorBurst: a factor-0 RateBurst (all arrivals
+// stopped) is a magnitude, not the slowdown factors' "leave unchanged"
+// zero, so the shrinker halves it toward nominal like any burst factor.
+func TestShrinkHalvesZeroFactorBurst(t *testing.T) {
+	pred := func(p *fault.Plan) bool {
+		for _, ev := range p.Events {
+			if ev.Kind == fault.RateBurst && ev.RateFactor < 0.9 {
+				return true
+			}
+		}
+		return false
+	}
+	plan := &fault.Plan{Events: []fault.Event{{At: 1 * ms, Kind: fault.RateBurst, RateFactor: 0}}}
+	shrunk, runs := Shrink(plan, pred, validForProfile, 100)
+	if got := shrunk.Events[0].RateFactor; got != 0.875 {
+		t.Fatalf("zero-factor burst shrank to factor %v in %d probes, want 0.875", got, runs)
+	}
+}
+
 // --- reproducers ---
 
 func TestReproRoundTrip(t *testing.T) {
@@ -188,6 +208,180 @@ func TestReproRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestReproFormatPinned pins the reproducer file format byte for byte: a
+// case whose fault plan uses every fault kind's fields plus a reconfig plan
+// using every reconfig kind's fields, and an empty fault plan. Round-trip
+// tests alone would still pass if a key were renamed on both sides.
+func TestReproFormatPinned(t *testing.T) {
+	us := simtime.Microsecond
+	full := Case{
+		Tenants: []string{"ipv4", "ids"}, Seed: 42, TaskTimeout: 5 * ms,
+		Plan: &fault.Plan{Events: []fault.Event{
+			{At: 100 * us, Kind: fault.DeviceSlowdown, Device: 0, KernelFactor: 2.5, CopyFactor: 1.5},
+			{At: 200 * us, Kind: fault.DeviceRecover, Device: 0},
+			{At: 300 * us, Kind: fault.DeviceFail, Device: 1},
+			{At: 400 * us, Kind: fault.DeviceRecover, Device: 1},
+			{At: 500 * us, Kind: fault.DeviceHang, Device: 0},
+			{At: 600 * us, Kind: fault.DeviceRecover, Device: 0},
+			{At: 700 * us, Kind: fault.RxQueueDown, Port: 1, Queue: 3},
+			{At: 800 * us, Kind: fault.RxQueueUp, Port: 1, Queue: -1},
+			{At: 900 * us, Kind: fault.RateBurst, RateFactor: 0.25},
+			{At: 1000 * us, Kind: fault.RateBurst, RateFactor: 1},
+			{At: 1100 * us, Kind: fault.DeviceCorrupt, Device: 1, CorruptProb: 0.125, FlipPattern: 0xa5},
+			{At: 1200 * us, Kind: fault.CorruptRecover, Device: 1},
+		}},
+		Latent: []string{"ipv6"},
+		Reconfig: &reconfig.Plan{Events: []reconfig.Event{
+			{At: 150 * us, Kind: reconfig.TenantAdmit, Tenant: "l0-ipv6", Share: 0.5},
+			{At: 250 * us, Kind: reconfig.ShareRetune, Tenant: "t0-ipv4", Share: 2},
+			{At: 350 * us, Kind: reconfig.DeviceUnplug, Device: 1},
+			{At: 450 * us, Kind: reconfig.DevicePlug, Device: 1},
+			{At: 550 * us, Kind: reconfig.QueueResize, Port: -1, Capacity: 64},
+			{At: 650 * us, Kind: reconfig.TenantEvict, Tenant: "l0-ipv6"},
+		}},
+		DisarmSampling: true,
+	}
+	empty := Case{App: "ipv4", Seed: 1, Plan: &fault.Plan{Events: []fault.Event{}}}
+	for _, tc := range []struct {
+		name string
+		c    Case
+		want string
+	}{{"full", full, reproFull}, {"empty", empty, reproEmpty}} {
+		path := filepath.Join(t.TempDir(), tc.name+".json")
+		if err := WriteRepro(path, tc.c); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != tc.want {
+			t.Errorf("%s: reproducer format changed:\n%s\nwant:\n%s", tc.name, got, tc.want)
+		}
+	}
+}
+
+const reproEmpty = `{
+  "app": "ipv4",
+  "seed": 1,
+  "events": null
+}
+`
+
+const reproFull = `{
+  "app": "",
+  "tenants": [
+    "ipv4",
+    "ids"
+  ],
+  "seed": 42,
+  "task_timeout_ps": 5000000000,
+  "events": [
+    {
+      "at_ps": 100000000,
+      "kind": "device.slowdown",
+      "kernel_factor": 2.5,
+      "copy_factor": 1.5
+    },
+    {
+      "at_ps": 200000000,
+      "kind": "device.recover"
+    },
+    {
+      "at_ps": 300000000,
+      "kind": "device.fail",
+      "device": 1
+    },
+    {
+      "at_ps": 400000000,
+      "kind": "device.recover",
+      "device": 1
+    },
+    {
+      "at_ps": 500000000,
+      "kind": "device.hang"
+    },
+    {
+      "at_ps": 600000000,
+      "kind": "device.recover"
+    },
+    {
+      "at_ps": 700000000,
+      "kind": "rxq.down",
+      "port": 1,
+      "queue": 3
+    },
+    {
+      "at_ps": 800000000,
+      "kind": "rxq.up",
+      "port": 1,
+      "queue": -1
+    },
+    {
+      "at_ps": 900000000,
+      "kind": "rate.burst",
+      "rate_factor": 0.25
+    },
+    {
+      "at_ps": 1000000000,
+      "kind": "rate.burst",
+      "rate_factor": 1
+    },
+    {
+      "at_ps": 1100000000,
+      "kind": "device.corrupt",
+      "device": 1,
+      "corrupt_prob": 0.125,
+      "flip_pattern": 165
+    },
+    {
+      "at_ps": 1200000000,
+      "kind": "corrupt.recover",
+      "device": 1
+    }
+  ],
+  "latent": [
+    "ipv6"
+  ],
+  "reconfig_events": [
+    {
+      "at_ps": 150000000,
+      "kind": "tenant.admit",
+      "tenant": "l0-ipv6",
+      "share": 0.5
+    },
+    {
+      "at_ps": 250000000,
+      "kind": "share.retune",
+      "tenant": "t0-ipv4",
+      "share": 2
+    },
+    {
+      "at_ps": 350000000,
+      "kind": "device.unplug",
+      "device": 1
+    },
+    {
+      "at_ps": 450000000,
+      "kind": "device.plug",
+      "device": 1
+    },
+    {
+      "at_ps": 550000000,
+      "kind": "queue.resize",
+      "port": -1,
+      "capacity": 64
+    },
+    {
+      "at_ps": 650000000,
+      "kind": "tenant.evict",
+      "tenant": "l0-ipv6"
+    }
+  ],
+  "disarm_sampling": true
+}
+`
 
 // --- reconfig churn cases ---
 

@@ -3,73 +3,118 @@ package chaos
 import (
 	"nba/internal/fault"
 	"nba/internal/reconfig"
-	"nba/internal/simtime"
 )
 
-// shrinkGrid quantises shrunk event times, matching fault.RandomPlan's
-// generation grid so reproducers stay tidy.
-const shrinkGrid = 10 * simtime.Microsecond
-
-// Shrink reduces a failing fault plan to a minimal reproducer by greedy
-// delta debugging: candidate transformations are tried in a fixed order
-// (single event removal, same-target pair removal, factor halving toward
-// nominal, fault-window halving) and any candidate that still fails
-// restarts the scan. The result is a fixed point: no single transformation
-// both keeps the plan valid and keeps it failing.
+// shrinkEvents is the greedy delta-debugging loop behind Shrink and
+// ShrinkReconfig. Candidate transformations of the current timeline are
+// tried in a fixed order, and any candidate that still fails restarts the
+// scan:
 //
-// stillFails must re-run the case with the candidate plan and report
-// whether it still violates an invariant; valid gates candidates on
-// Plan.Validate for the run's topology. maxRuns bounds the number of
-// stillFails calls (shrinking is search, and each probe is a full run); the
-// best plan found so far is returned when the budget runs out, along with
-// the number of probes spent.
-func Shrink(plan *fault.Plan, stillFails func(*fault.Plan) bool, valid func(*fault.Plan) bool, maxRuns int) (*fault.Plan, int) {
-	cur := clonePlan(plan)
+//  1. remove a single event, scanning from the end (trailing recovery,
+//     evict and replug events go first, leaving the opening event that
+//     usually matters);
+//  2. remove a same-target pair — a whole fault window or lifecycle at
+//     once, for the cases where both single removals are rejected or pass
+//     (a recover or an evict alone would make the timeline invalid);
+//  3. the kind-specific pass, when one is given.
+//
+// The result is a fixed point: no single transformation both keeps the
+// timeline valid and keeps it failing. try gates each candidate on valid
+// and spends one of the maxRuns stillFails probes on it (shrinking is
+// search, and each probe is a full run); the best timeline found so far is
+// returned when the budget runs out, along with the number of probes spent.
+func shrinkEvents[E any](events []E, sameTarget func(a, b E) bool,
+	pass func(cur []E, try func([]E) bool) ([]E, bool),
+	stillFails, valid func([]E) bool, maxRuns int) ([]E, int) {
 	runs := 0
-	try := func(cand *fault.Plan) bool {
+	try := func(cand []E) bool {
 		if runs >= maxRuns || !valid(cand) {
 			return false
 		}
 		runs++
 		return stillFails(cand)
 	}
-
-	for {
-		if cand, ok := shrinkOnce(cur, try); ok {
-			cur = cand
-			continue
-		}
-		return cur, runs
-	}
-}
-
-// shrinkOnce tries every candidate transformation of cur in deterministic
-// order, returning the first one that still fails.
-func shrinkOnce(cur *fault.Plan, try func(*fault.Plan) bool) (*fault.Plan, bool) {
-	// 1. Remove a single event. Scanning from the end first tends to strip
-	// trailing recovery events (whose windows then extend to the horizon)
-	// before touching the fault that matters.
-	for i := len(cur.Events) - 1; i >= 0; i-- {
-		if cand := removeEvents(cur, i, -1); try(cand) {
-			return cand, true
-		}
-	}
-	// 2. Remove a same-target pair (a whole fault window at once: the
-	// single removals above may both fail while removing the pair works,
-	// e.g. dropping an unrelated fail+recover window whose recover alone
-	// would make the plan invalid).
-	for i := 0; i < len(cur.Events); i++ {
-		for j := i + 1; j < len(cur.Events); j++ {
-			if !sameTarget(cur.Events[i], cur.Events[j]) {
-				continue
-			}
-			if cand := removeEvents(cur, i, j); try(cand) {
+	step := func(cur []E) ([]E, bool) {
+		for i := len(cur) - 1; i >= 0; i-- {
+			if cand := without(cur, i, -1); try(cand) {
 				return cand, true
 			}
 		}
+		for i := range cur {
+			for j := i + 1; j < len(cur); j++ {
+				if !sameTarget(cur[i], cur[j]) {
+					continue
+				}
+				if cand := without(cur, i, j); try(cand) {
+					return cand, true
+				}
+			}
+		}
+		if pass == nil {
+			return nil, false
+		}
+		return pass(cur, try)
 	}
-	// 3. Halve fault magnitudes toward nominal (factor 1).
-	for i, ev := range cur.Events {
+
+	cur := append([]E(nil), events...)
+	for {
+		cand, ok := step(cur)
+		if !ok {
+			return cur, runs
+		}
+		cur = cand
+	}
+}
+
+// without returns a copy of evs with index i (and j, when >= 0) dropped.
+func without[E any](evs []E, i, j int) []E {
+	out := make([]E, 0, len(evs))
+	for k, ev := range evs {
+		if k != i && k != j {
+			out = append(out, ev)
+		}
+	}
+	return out
+}
+
+// Shrink reduces a failing fault plan to a minimal reproducer: the
+// shrinkEvents loop plus a fault pass that halves magnitudes toward nominal
+// and then halves fault windows.
+//
+// stillFails must re-run the case with the candidate plan and report
+// whether it still violates an invariant; valid gates candidates on
+// Plan.Validate for the run's topology. maxRuns bounds the number of
+// stillFails calls.
+func Shrink(plan *fault.Plan, stillFails func(*fault.Plan) bool, valid func(*fault.Plan) bool, maxRuns int) (*fault.Plan, int) {
+	evs, runs := shrinkEvents(plan.Events, sameTarget, shrinkFaultPass,
+		func(evs []fault.Event) bool { return stillFails(&fault.Plan{Events: evs}) },
+		func(evs []fault.Event) bool { return valid(&fault.Plan{Events: evs}) },
+		maxRuns)
+	return &fault.Plan{Events: evs}, runs
+}
+
+// ShrinkReconfig reduces a failing reconfiguration plan with the
+// shrinkEvents loop alone: single removals, then same-target pairs (an
+// admit+evict of one tenant or an unplug+plug of one device, whose single
+// removals the timeline validator rejects).
+func ShrinkReconfig(plan *reconfig.Plan, stillFails func(*reconfig.Plan) bool, valid func(*reconfig.Plan) bool, maxRuns int) (*reconfig.Plan, int) {
+	evs, runs := shrinkEvents(plan.Events, sameReconfigTarget, nil,
+		func(evs []reconfig.Event) bool { return stillFails(&reconfig.Plan{Events: evs}) },
+		func(evs []reconfig.Event) bool { return valid(&reconfig.Plan{Events: evs}) },
+		maxRuns)
+	return &reconfig.Plan{Events: evs}, runs
+}
+
+// shrinkFaultPass halves fault magnitudes toward nominal (factor 1,
+// corruption probability 0), then moves each window's closing event halfway
+// toward its opener, returning the first candidate that still fails.
+func shrinkFaultPass(cur []fault.Event, try func([]fault.Event) bool) ([]fault.Event, bool) {
+	edit := func(i int, change func(*fault.Event)) ([]fault.Event, bool) {
+		cand := append([]fault.Event(nil), cur...)
+		change(&cand[i])
+		return cand, try(cand)
+	}
+	for i, ev := range cur {
 		switch ev.Kind {
 		case fault.DeviceSlowdown:
 			k, kok := halveFactor(ev.KernelFactor)
@@ -77,20 +122,20 @@ func shrinkOnce(cur *fault.Plan, try func(*fault.Plan) bool) (*fault.Plan, bool)
 			if !kok && !cok {
 				continue
 			}
-			cand := clonePlan(cur)
-			cand.Events[i].KernelFactor = k
-			cand.Events[i].CopyFactor = c
-			if try(cand) {
+			if cand, ok := edit(i, func(e *fault.Event) { e.KernelFactor, e.CopyFactor = k, c }); ok {
 				return cand, true
 			}
 		case fault.RateBurst:
 			f, ok := halveFactor(ev.RateFactor)
+			if ev.RateFactor == 0 {
+				// Not the "leave unchanged" sentinel here: a zero burst
+				// stops all arrivals, and halves toward 1 like any factor.
+				f, ok = 0.5, true
+			}
 			if !ok {
 				continue
 			}
-			cand := clonePlan(cur)
-			cand.Events[i].RateFactor = f
-			if try(cand) {
+			if cand, ok := edit(i, func(e *fault.Event) { e.RateFactor = f }); ok {
 				return cand, true
 			}
 		case fault.DeviceCorrupt:
@@ -99,16 +144,12 @@ func shrinkOnce(cur *fault.Plan, try func(*fault.Plan) bool) (*fault.Plan, bool)
 			if ev.CorruptProb <= 0.05 {
 				continue
 			}
-			cand := clonePlan(cur)
-			cand.Events[i].CorruptProb = ev.CorruptProb / 2
-			if try(cand) {
+			if cand, ok := edit(i, func(e *fault.Event) { e.CorruptProb /= 2 }); ok {
 				return cand, true
 			}
 		}
 	}
-	// 4. Halve fault windows: move each closing event halfway toward its
-	// opener.
-	for i, ev := range cur.Events {
+	for i, ev := range cur {
 		if !closesWindow(ev) {
 			continue
 		}
@@ -116,83 +157,16 @@ func shrinkOnce(cur *fault.Plan, try func(*fault.Plan) bool) (*fault.Plan, bool)
 		if j < 0 {
 			continue
 		}
-		mid := midpoint(cur.Events[j].At, ev.At)
-		if mid <= cur.Events[j].At || mid >= ev.At {
+		// The midpoint stays on the generators' time grid.
+		mid := (cur[j].At + ev.At) / 2 / fault.TimeGrid * fault.TimeGrid
+		if mid <= cur[j].At || mid >= ev.At {
 			continue
 		}
-		cand := clonePlan(cur)
-		cand.Events[i].At = mid
-		if try(cand) {
+		if cand, ok := edit(i, func(e *fault.Event) { e.At = mid }); ok {
 			return cand, true
 		}
 	}
 	return nil, false
-}
-
-// ShrinkReconfig reduces a failing reconfiguration plan the same way Shrink
-// reduces a fault plan: greedy delta debugging over candidate
-// transformations (single event removal, then same-target pair removal —
-// an admit+evict of one tenant or an unplug+plug of one device, whose
-// single removals the timeline validator rejects), restarting the scan on
-// every success until a fixed point or the probe budget runs out.
-func ShrinkReconfig(plan *reconfig.Plan, stillFails func(*reconfig.Plan) bool, valid func(*reconfig.Plan) bool, maxRuns int) (*reconfig.Plan, int) {
-	cur := cloneReconfigPlan(plan)
-	runs := 0
-	try := func(cand *reconfig.Plan) bool {
-		if runs >= maxRuns || !valid(cand) {
-			return false
-		}
-		runs++
-		return stillFails(cand)
-	}
-
-	for {
-		if cand, ok := shrinkReconfigOnce(cur, try); ok {
-			cur = cand
-			continue
-		}
-		return cur, runs
-	}
-}
-
-func shrinkReconfigOnce(cur *reconfig.Plan, try func(*reconfig.Plan) bool) (*reconfig.Plan, bool) {
-	// 1. Remove a single event, scanning from the end (evicts and replugs
-	// tend to sit late; stripping them first leaves the opening event whose
-	// epoch is usually what matters).
-	for i := len(cur.Events) - 1; i >= 0; i-- {
-		if cand := removeReconfigEvents(cur, i, -1); try(cand) {
-			return cand, true
-		}
-	}
-	// 2. Remove a same-target pair: the lifecycle validator rejects many
-	// single removals (an evict without its admit, a plug without its
-	// unplug), but dropping the whole pair keeps the timeline legal.
-	for i := 0; i < len(cur.Events); i++ {
-		for j := i + 1; j < len(cur.Events); j++ {
-			if !sameReconfigTarget(cur.Events[i], cur.Events[j]) {
-				continue
-			}
-			if cand := removeReconfigEvents(cur, i, j); try(cand) {
-				return cand, true
-			}
-		}
-	}
-	return nil, false
-}
-
-func cloneReconfigPlan(p *reconfig.Plan) *reconfig.Plan {
-	return &reconfig.Plan{Events: append([]reconfig.Event(nil), p.Events...)}
-}
-
-func removeReconfigEvents(p *reconfig.Plan, i, j int) *reconfig.Plan {
-	out := &reconfig.Plan{Events: make([]reconfig.Event, 0, len(p.Events))}
-	for k, ev := range p.Events {
-		if k == i || k == j {
-			continue
-		}
-		out.Events = append(out.Events, ev)
-	}
-	return out
 }
 
 // sameReconfigTarget reports whether two reconfig events act on the same
@@ -217,22 +191,6 @@ func tenantReconfigKind(k reconfig.Kind) bool {
 
 func deviceReconfigKind(k reconfig.Kind) bool {
 	return k == reconfig.DeviceUnplug || k == reconfig.DevicePlug
-}
-
-func clonePlan(p *fault.Plan) *fault.Plan {
-	return &fault.Plan{Events: append([]fault.Event(nil), p.Events...)}
-}
-
-// removeEvents drops index i (and j, when >= 0) from the plan.
-func removeEvents(p *fault.Plan, i, j int) *fault.Plan {
-	out := &fault.Plan{Events: make([]fault.Event, 0, len(p.Events))}
-	for k, ev := range p.Events {
-		if k == i || k == j {
-			continue
-		}
-		out.Events = append(out.Events, ev)
-	}
-	return out
 }
 
 // sameTarget reports whether two events act on the same fault target, so
@@ -268,24 +226,25 @@ func closesWindow(ev fault.Event) bool {
 
 // openerOf finds the latest earlier same-target non-closing event — the
 // start of the window that event i closes. Returns -1 when there is none.
-func openerOf(p *fault.Plan, i int) int {
-	ev := p.Events[i]
+func openerOf(evs []fault.Event, i int) int {
+	ev := evs[i]
 	best := -1
-	for j, o := range p.Events {
+	for j, o := range evs {
 		if j == i || closesWindow(o) || !sameTarget(o, ev) || o.At >= ev.At {
 			continue
 		}
-		if best < 0 || o.At > p.Events[best].At {
+		if best < 0 || o.At > evs[best].At {
 			best = j
 		}
 	}
 	return best
 }
 
-// halveFactor moves a scaling factor halfway toward nominal (1), on a
-// coarse grid; ok is false when it is already within 10% of nominal.
+// halveFactor moves a slowdown or burst factor halfway toward nominal (1),
+// on a coarse grid; ok is false when it is already within 10% of nominal
+// or is a slowdown's zero "leave unchanged" sentinel.
 func halveFactor(f float64) (float64, bool) {
-	if f == 0 { // "leave unchanged" sentinel, nothing to halve
+	if f == 0 {
 		return f, false
 	}
 	next := 1 + (f-1)/2
@@ -293,10 +252,4 @@ func halveFactor(f float64) (float64, bool) {
 		return f, false
 	}
 	return next, true
-}
-
-// midpoint returns the grid-aligned middle of a window.
-func midpoint(a, b simtime.Time) simtime.Time {
-	m := (a + b) / 2
-	return m / shrinkGrid * shrinkGrid
 }

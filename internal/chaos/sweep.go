@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"nba/internal/fault"
-	"nba/internal/invariant"
 	"nba/internal/par"
 	"nba/internal/reconfig"
 )
@@ -94,30 +93,23 @@ func Sweep(opts SweepOptions) (*SweepResult, error) {
 		apps = Apps
 	}
 	cases := make([]Case, 0, len(apps)*opts.Seeds)
-	if opts.Reconfig {
-		// One churn case per seed: a rotating tenant window plus the next
-		// app in the rotation as the admittable latent tenant.
-		tc := opts.TenantCount
-		if tc < 2 {
-			tc = 2
-		}
+	if opts.Reconfig || opts.TenantCount >= 2 {
+		// One case per seed, co-hosting a rotating window over the app list
+		// so every app appears in every tenant slot across the seed range;
+		// churn cases add the next app in the rotation as the admittable
+		// latent tenant.
+		tc := max(opts.TenantCount, 2)
 		for s := 0; s < opts.Seeds; s++ {
 			mix := make([]string, tc)
 			for i := range mix {
 				mix[i] = apps[(s+i)%len(apps)]
 			}
-			latent := []string{apps[(s+tc)%len(apps)]}
-			cases = append(cases, RandomReconfigCase(mix, latent, opts.BaseSeed+uint64(s)))
-		}
-	} else if opts.TenantCount >= 2 {
-		// One case per seed, co-hosting a rotating window over the app list
-		// so every app appears in every tenant slot across the seed range.
-		for s := 0; s < opts.Seeds; s++ {
-			mix := make([]string, opts.TenantCount)
-			for i := range mix {
-				mix[i] = apps[(s+i)%len(apps)]
+			seed := opts.BaseSeed + uint64(s)
+			if opts.Reconfig {
+				cases = append(cases, RandomReconfigCase(mix, []string{apps[(s+tc)%len(apps)]}, seed))
+			} else {
+				cases = append(cases, RandomTenantCase(mix, seed))
 			}
-			cases = append(cases, RandomTenantCase(mix, opts.BaseSeed+uint64(s)))
 		}
 	} else {
 		for _, app := range apps {
@@ -145,46 +137,14 @@ func Sweep(opts SweepOptions) (*SweepResult, error) {
 	res := &SweepResult{Cases: len(cases)}
 	for i, c := range cases {
 		out, dup := outs[2*i], outs[2*i+1]
-		if !sameDigests(out, dup) {
-			out.Violations = append(out.Violations, invariant.Violation{
-				Check: invariant.CheckDeterminism,
-				Msg:   fmt.Sprintf("trace digests differ across identical runs: %s vs %s", digestLine(c, out), digestLine(c, dup)),
-			})
-		}
+		crossCheck(c, out, dup)
 		res.CaseDigests = append(res.CaseDigests, digestLine(c, out))
 		if !out.Failed() {
 			continue
 		}
 		f := Failure{Case: c, Outcome: out, ShrunkFrom: len(c.Plan.Events) + reconfigEvents(c.Reconfig)}
 		if opts.MaxShrinkRuns > 0 {
-			prof := CaseProfile(c)
-			replay := f.Case // mutated plan-by-plan as each shrink pass lands
-			stillFails := func(p *fault.Plan) bool {
-				cand := replay
-				cand.Plan = p
-				o, err := RunTwice(cand)
-				return err == nil && o.Failed()
-			}
-			valid := func(p *fault.Plan) bool {
-				return p.Validate(prof.Devices, prof.Ports, prof.Queues) == nil
-			}
-			f.Case.Plan, f.ShrinkRuns = Shrink(c.Plan, stillFails, valid, opts.MaxShrinkRuns)
-			replay.Plan = f.Case.Plan
-			if budget := opts.MaxShrinkRuns - f.ShrinkRuns; budget > 0 && reconfigEvents(c.Reconfig) > 0 {
-				rprof := ReconfigProfile(c.Tenants, c.Latent)
-				rcStillFails := func(p *reconfig.Plan) bool {
-					cand := replay
-					cand.Reconfig = p
-					o, err := RunTwice(cand)
-					return err == nil && o.Failed()
-				}
-				rcValid := func(p *reconfig.Plan) bool {
-					return p.Validate(rprof.Initial, rprof.Latent, rprof.Devices, rprof.Ports) == nil
-				}
-				var rcRuns int
-				f.Case.Reconfig, rcRuns = ShrinkReconfig(c.Reconfig, rcStillFails, rcValid, budget)
-				f.ShrinkRuns += rcRuns
-			}
+			f.Case, f.ShrinkRuns = shrinkCase(c, opts.MaxShrinkRuns)
 		}
 		if opts.ReproDir != "" {
 			f.ReproPath = filepath.Join(opts.ReproDir, fmt.Sprintf("repro-%s-%d.json", strings.ReplaceAll(c.Label(), "+", "_"), c.Seed))
@@ -196,4 +156,31 @@ func Sweep(opts SweepOptions) (*SweepResult, error) {
 	}
 	res.Digest = combinedDigest(res.CaseDigests)
 	return res, nil
+}
+
+// shrinkCase shrinks a failing case's fault plan and then, with the probe
+// budget left over, its reconfig plan; each probe re-runs the case twice.
+func shrinkCase(c Case, maxRuns int) (Case, int) {
+	fails := func(cand Case) bool {
+		o, err := RunTwice(cand)
+		return err == nil && o.Failed()
+	}
+	prof := CaseProfile(c)
+	var runs int
+	c.Plan, runs = Shrink(c.Plan,
+		func(p *fault.Plan) bool { cand := c; cand.Plan = p; return fails(cand) },
+		func(p *fault.Plan) bool { return p.Validate(prof.Devices, prof.Ports, prof.Queues) == nil },
+		maxRuns)
+	if budget := maxRuns - runs; budget > 0 && reconfigEvents(c.Reconfig) > 0 {
+		rprof := ReconfigProfile(c.Tenants, c.Latent)
+		var rcRuns int
+		c.Reconfig, rcRuns = ShrinkReconfig(c.Reconfig,
+			func(p *reconfig.Plan) bool { cand := c; cand.Reconfig = p; return fails(cand) },
+			func(p *reconfig.Plan) bool {
+				return p.Validate(rprof.Initial, rprof.Latent, rprof.Devices, rprof.Ports) == nil
+			},
+			budget)
+		runs += rcRuns
+	}
+	return c, runs
 }

@@ -15,7 +15,6 @@ import (
 	"nba/internal/netio"
 	"nba/internal/overload"
 	"nba/internal/reconfig"
-	"nba/internal/sched"
 	"nba/internal/simtime"
 	"nba/internal/sysinfo"
 	"nba/internal/trace"
@@ -48,12 +47,6 @@ type Tenant struct {
 	SLOP999 simtime.Time
 }
 
-// RateChange alters the offered load mid-run (workload-shift experiments).
-type RateChange struct {
-	At         simtime.Time
-	BpsPerPort float64
-}
-
 // GeneratorChange swaps the traffic generator mid-run (the paper's §3.4
 // scenario: the adaptive balancer must find a new convergence point when
 // the workload changes). The offered wire rate is preserved: the packet
@@ -77,11 +70,6 @@ type Config struct {
 	// entry behaves bit-identically to the equivalent GraphConfig run —
 	// the disarm contract — and an empty slice is classic single-app mode.
 	Tenants []Tenant
-	// Placement decides which same-socket accelerator runs a tenant's
-	// offloaded aggregates; nil selects sched.Static (annotation k →
-	// device k-1, today's behaviour). Interference-aware policies from the
-	// Pythia space plug in here.
-	Placement sched.PlacementPolicy
 	// GraphOpts toggles branch prediction / offload chaining (ablations);
 	// nil selects graph.DefaultOptions().
 	GraphOpts *graph.Options
@@ -94,8 +82,6 @@ type Config struct {
 	Generator netio.Generator
 	// OfferedBpsPerPort is the offered wire rate per port.
 	OfferedBpsPerPort float64
-	// RateChanges optionally shift the offered load mid-run.
-	RateChanges []RateChange
 	// GeneratorChanges optionally swap the traffic mix mid-run.
 	// Single-tenant runs only: with multiple tenants each tenant owns its
 	// generator and a global swap would be ambiguous.
@@ -287,9 +273,6 @@ func (c Config) withDefaults() (Config, error) {
 		if c.Generator == nil {
 			return c, fmt.Errorf("core: Generator is required")
 		}
-	}
-	if c.Placement == nil {
-		c.Placement = sched.Static{}
 	}
 	max := c.Topology.MaxWorkersPerSocket()
 	if c.WorkersPerSocket == 0 {

@@ -187,16 +187,6 @@ func TestLatencyRecorded(t *testing.T) {
 	}
 }
 
-func TestWorkloadRateChange(t *testing.T) {
-	cfg := quickCfg(l2Config, 1e9, 64)
-	cfg.RateChanges = []RateChange{{At: 5 * simtime.Millisecond, BpsPerPort: 4e9}}
-	r := run(t, cfg)
-	// Average over the window must sit between the two rates.
-	if r.TxGbps < 2.1 || r.TxGbps > 7.9 {
-		t.Errorf("TxGbps = %.2f, want between 2 and 8 (rate ramped mid-run)", r.TxGbps)
-	}
-}
-
 func TestConfigValidation(t *testing.T) {
 	base := quickCfg(l2Config, 1e9, 64)
 	cases := []struct {

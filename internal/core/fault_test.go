@@ -176,9 +176,8 @@ func TestAdaptiveCollapsesAndReclimbsOnOutage(t *testing.T) {
 
 func TestRateBurstShiftsOfferedLoad(t *testing.T) {
 	// A 2x burst for 3 ms of the 8 ms measured window: total delivered
-	// arrivals must exceed the flat-rate run's, and the composition with
-	// mid-run rate changes must stay consistent (burst factor applies to the
-	// current nominal rate).
+	// arrivals must exceed the flat-rate run's (the burst factor scales the
+	// nominal rate; the fault plan is the only mid-run load-shift path).
 	flat := run(t, quickCfg(l2Config, 2e9, 64))
 	cfg := quickCfg(l2Config, 2e9, 64)
 	cfg.FaultPlan = &fault.Plan{Events: fault.Burst(4*simtime.Millisecond, 3*simtime.Millisecond, 2)}

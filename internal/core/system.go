@@ -17,7 +17,6 @@ import (
 	"nba/internal/overload"
 	"nba/internal/reconfig"
 	"nba/internal/rng"
-	"nba/internal/sched"
 	"nba/internal/simtime"
 	"nba/internal/trace"
 )
@@ -38,8 +37,7 @@ type System struct {
 	tenants []tenantSlot
 	// latent are the tenants a reconfig plan may admit, parsed and
 	// trial-built at construction.
-	latent    map[string]parsedTenant
-	placement sched.PlacementPolicy
+	latent map[string]parsedTenant
 
 	ports      []*netio.Port
 	devices    []*gpu.Device          // parallel to cfg.Topology.Devices
@@ -58,9 +56,8 @@ type System struct {
 	stopTime  simtime.Time // warmup + duration
 	measuring bool
 
-	// Current offered-load state, composed by rate changes and
-	// fault-injected rate bursts (factor over the nominal rate).
-	curBps     float64
+	// rateFactor is the fault plan's current RateBurst factor over the
+	// nominal offered load.
 	rateFactor float64
 
 	tailMarkBytes []uint64
@@ -89,8 +86,9 @@ type parsedTenant struct {
 	parsed *conflang.Config
 }
 
-// errNoPluggedDevice reports that placement resolved to a socket whose every
-// device is hot-unplugged; the caller rescues the aggregate on the CPU.
+// errNoPluggedDevice reports that a device annotation resolved to a socket
+// whose every device is hot-unplugged; the caller rescues the aggregate on
+// the CPU.
 var errNoPluggedDevice = errors.New("core: no plugged device on socket")
 
 // NewSystem builds a system from the configuration.
@@ -103,9 +101,7 @@ func NewSystem(cfg Config) (*System, error) {
 	s := &System{
 		cfg:           cfg,
 		eng:           simtime.NewEngine(),
-		placement:     cfg.Placement,
 		stopTime:      cfg.Warmup + cfg.Duration,
-		curBps:        cfg.OfferedBpsPerPort,
 		rateFactor:    1,
 		tailMarkBytes: make([]uint64, len(top.Ports)),
 		tailEndBytes:  make([]uint64, len(top.Ports)),
@@ -294,17 +290,16 @@ func (s *System) overloadLevel(socket int, tenant int32) overload.Level {
 // Engine exposes the virtual clock (for tests and the bench harness).
 func (s *System) Engine() *simtime.Engine { return s.eng }
 
-// deviceFor resolves a batch's device annotation through the placement
-// policy (the scheduler stage's placement decision) for a tenant on a
-// worker's socket.
+// deviceFor resolves a batch's device annotation for a tenant on a
+// worker's socket: annotation k selects local device k-1.
 func (s *System) deviceFor(socket int, tenant int32, anno int) (*gpu.Device, error) {
 	local := s.cfg.Topology.DevicesOnSocket(socket)
-	idx := s.placement.DeviceFor(int(tenant), anno, len(local))
+	idx := anno - 1
 	if idx < 0 || idx >= len(local) {
 		return nil, fmt.Errorf("core: socket %d has no device for tenant %d annotation %d", socket, tenant, anno)
 	}
 	// Hot-unplug re-route: a device removed from service stops taking new
-	// submissions the moment its epoch begins. Placement's choice falls to
+	// submissions the moment its epoch begins. The annotated device falls to
 	// the next plugged local device in index order; with none left the
 	// caller rescues the aggregate on the CPU.
 	if !s.devPlugged[local[idx]] {
@@ -343,7 +338,7 @@ func (s *System) applyRate() {
 	for _, p := range s.ports {
 		for _, q := range p.Rx {
 			ts := &s.tenants[q.Tenant]
-			pps := netio.OfferedPPS(s.curBps*s.rateFactor*ts.frac*ts.RateScale, ts.gen)
+			pps := netio.OfferedPPS(s.cfg.OfferedBpsPerPort*s.rateFactor*ts.frac*ts.RateScale, ts.gen)
 			q.SetRate(now, pps/nq)
 		}
 	}
@@ -449,15 +444,6 @@ func (s *System) Run() (*Report, error) {
 					q.SetGenerator(gc.Generator)
 				}
 			}
-			s.applyRate()
-		})
-	}
-	for _, rc := range s.cfg.RateChanges {
-		if rc.At > s.stopTime {
-			continue
-		}
-		s.eng.At(rc.At, func() {
-			s.curBps = rc.BpsPerPort
 			s.applyRate()
 		})
 	}

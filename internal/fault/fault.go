@@ -94,14 +94,19 @@ func (k Kind) String() string {
 	return "unknown"
 }
 
-// KindFromString parses a Kind's String form (reproducer plan files).
-func KindFromString(s string) (Kind, error) {
+// MarshalText encodes the kind by its String form, the name reproducer
+// files carry.
+func (k Kind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+// UnmarshalText parses a kind name written by MarshalText.
+func (k *Kind) UnmarshalText(b []byte) error {
 	for i, name := range kindNames {
-		if name == s {
-			return Kind(i), nil
+		if name == string(b) {
+			*k = Kind(i)
+			return nil
 		}
 	}
-	return 0, fmt.Errorf("fault: unknown kind %q", s)
+	return fmt.Errorf("fault: unknown kind %q", b)
 }
 
 // IsRecovery reports whether the kind restores capacity rather than taking
@@ -111,33 +116,34 @@ func (k Kind) IsRecovery() bool {
 }
 
 // Event is one scheduled fault. Only the fields relevant to the Kind are
-// read; the rest stay zero.
+// read; the rest stay zero. The JSON form is the reproducer-file event
+// (times in picoseconds, the kind by name, zero fields omitted).
 type Event struct {
 	// At is the virtual time the fault is applied.
-	At   simtime.Time
-	Kind Kind
+	At   simtime.Time `json:"at_ps"`
+	Kind Kind         `json:"kind"`
 
 	// Device indexes Topology.Devices (device events).
-	Device int
+	Device int `json:"device,omitempty"`
 	// Port indexes Topology.Ports and Queue the port's RX queues (RX-queue
 	// events). Queue -1 targets every queue of the port.
-	Port  int
-	Queue int
+	Port  int `json:"port,omitempty"`
+	Queue int `json:"queue,omitempty"`
 
 	// KernelFactor / CopyFactor scale kernel and copy times (DeviceSlowdown;
 	// >= 1 slows the device, 1 is nominal; 0 means "leave unchanged").
-	KernelFactor float64
-	CopyFactor   float64
+	KernelFactor float64 `json:"kernel_factor,omitempty"`
+	CopyFactor   float64 `json:"copy_factor,omitempty"`
 
 	// RateFactor scales the offered load (RateBurst; must be >= 0).
-	RateFactor float64
+	RateFactor float64 `json:"rate_factor,omitempty"`
 
 	// CorruptProb is the per-aggregate corruption probability of a
 	// DeviceCorrupt window (must be in (0, 1]).
-	CorruptProb float64
+	CorruptProb float64 `json:"corrupt_prob,omitempty"`
 	// FlipPattern is the byte XORed into corrupted payloads (DeviceCorrupt;
 	// must be nonzero — a zero XOR would be a no-op window).
-	FlipPattern byte
+	FlipPattern byte `json:"flip_pattern,omitempty"`
 }
 
 // Plan is a scripted fault timeline. The zero value is an empty plan.

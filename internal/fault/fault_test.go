@@ -245,14 +245,17 @@ func TestValidateTimeline(t *testing.T) {
 	}
 }
 
-func TestKindFromString(t *testing.T) {
+// TestKindStringRoundTrip pins the reproducer-file encoding of every kind.
+func TestKindStringRoundTrip(t *testing.T) {
 	for k := Kind(0); k < numKinds; k++ {
-		got, err := KindFromString(k.String())
-		if err != nil || got != k {
-			t.Errorf("round-trip %s: got %v, %v", k, got, err)
+		text, _ := k.MarshalText()
+		var got Kind
+		if err := got.UnmarshalText(text); err != nil || got != k || string(text) != k.String() {
+			t.Errorf("round-trip %s via %q: got %v, %v", k, text, got, err)
 		}
 	}
-	if _, err := KindFromString("device.explode"); err == nil {
+	var k Kind
+	if err := k.UnmarshalText([]byte("device.explode")); err == nil {
 		t.Error("unknown kind string accepted")
 	}
 }

@@ -28,7 +28,7 @@ func FuzzPlanJSON(f *testing.F) {
 		{At: 2 * ms, Kind: RateBurst, RateFactor: 3},
 		{At: 3 * ms, Kind: RxQueueDown, Port: 1, Queue: -1},
 	}})
-	f.Add([]byte(`{"Events":[{"Kind":7,"CorruptProb":1e308,"FlipPattern":255}]}`))
+	f.Add([]byte(`{"Events":[{"kind":"device.corrupt","corrupt_prob":1e308,"flip_pattern":255}]}`))
 	f.Add([]byte(`{not json`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {

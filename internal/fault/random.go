@@ -33,9 +33,11 @@ func (p Profile) withDefaults() Profile {
 	return p
 }
 
-// timeGrid quantises generated event times so plans are stable, diffable
-// and shrink to tidy reproducers.
-const timeGrid = 10 * simtime.Microsecond
+// TimeGrid quantises generated event times so plans are stable, diffable
+// and shrink to tidy reproducers. reconfig.RandomPlan and the chaos
+// shrinker use it too, so same-tick fault+reconfig collisions occur
+// naturally in chaos sweeps.
+const TimeGrid = 10 * simtime.Microsecond
 
 // overloadMinDur is the minimum duration of a sustained-overload episode:
 // long enough (≥ 1 ms) for interior queues to fill and the overload
@@ -65,7 +67,7 @@ func RandomPlan(r *rng.Rand, prof Profile) *Plan {
 	var rateCursor simtime.Time
 
 	quant := func(t simtime.Time) simtime.Time {
-		q := t / timeGrid * timeGrid
+		q := t / TimeGrid * TimeGrid
 		if q < 0 {
 			q = 0
 		}
@@ -75,7 +77,7 @@ func RandomPlan(r *rng.Rand, prof Profile) *Plan {
 	// the horizon; ok is false when the cursor has run out of room.
 	window := func(cursor simtime.Time) (start, end simtime.Time, ok bool) {
 		room := prof.Horizon - cursor
-		if room < 4*timeGrid {
+		if room < 4*TimeGrid {
 			return 0, 0, false
 		}
 		start = quant(cursor + simtime.Time(r.Float64()*float64(room)*0.5))
@@ -84,8 +86,8 @@ func RandomPlan(r *rng.Rand, prof Profile) *Plan {
 		}
 		maxDur := float64(prof.Horizon - start)
 		dur := quant(simtime.Time(maxDur * (0.1 + 0.8*r.Float64())))
-		if dur < timeGrid {
-			dur = timeGrid
+		if dur < TimeGrid {
+			dur = TimeGrid
 		}
 		return start, start + dur, true
 	}
@@ -101,7 +103,7 @@ func RandomPlan(r *rng.Rand, prof Profile) *Plan {
 		if prof.Ports > 0 && prof.Queues > 0 {
 			kinds = append(kinds, 3)
 		}
-		if prof.Horizon >= overloadMinDur+4*timeGrid {
+		if prof.Horizon >= overloadMinDur+4*TimeGrid {
 			kinds = append(kinds, 5) // sustained overload fits the horizon
 		}
 		switch kinds[r.Intn(len(kinds))] {
@@ -117,7 +119,7 @@ func RandomPlan(r *rng.Rand, prof Profile) *Plan {
 				continue
 			}
 			plan.Events = append(plan.Events, Event{At: end, Kind: DeviceRecover, Device: dev})
-			devCursor[dev] = end + timeGrid
+			devCursor[dev] = end + TimeGrid
 		case 1: // hang → recover (open-ended hangs rely on the task timeout)
 			dev := r.Intn(prof.Devices)
 			start, end, ok := window(devCursor[dev])
@@ -130,7 +132,7 @@ func RandomPlan(r *rng.Rand, prof Profile) *Plan {
 				continue
 			}
 			plan.Events = append(plan.Events, Event{At: end, Kind: DeviceRecover, Device: dev})
-			devCursor[dev] = end + timeGrid
+			devCursor[dev] = end + TimeGrid
 		case 2: // slowdown → recover
 			dev := r.Intn(prof.Devices)
 			start, end, ok := window(devCursor[dev])
@@ -143,7 +145,7 @@ func RandomPlan(r *rng.Rand, prof Profile) *Plan {
 				KernelFactor: factor, CopyFactor: factor,
 			})
 			plan.Events = append(plan.Events, Event{At: end, Kind: DeviceRecover, Device: dev})
-			devCursor[dev] = end + timeGrid
+			devCursor[dev] = end + TimeGrid
 		case 3: // queue flap: down → up
 			port := r.Intn(prof.Ports)
 			queue := r.Intn(prof.Queues)
@@ -158,7 +160,7 @@ func RandomPlan(r *rng.Rand, prof Profile) *Plan {
 				continue
 			}
 			plan.Events = append(plan.Events, Event{At: end, Kind: RxQueueUp, Port: port, Queue: queue})
-			queueCursor[qi] = end + timeGrid
+			queueCursor[qi] = end + TimeGrid
 		case 4: // rate burst or dip, restored at the end of the window
 			start, end, ok := window(rateCursor)
 			if !ok {
@@ -172,10 +174,10 @@ func RandomPlan(r *rng.Rand, prof Profile) *Plan {
 			}
 			plan.Events = append(plan.Events, Event{At: start, Kind: RateBurst, RateFactor: factor})
 			plan.Events = append(plan.Events, Event{At: end, Kind: RateBurst, RateFactor: 1})
-			rateCursor = end + timeGrid
+			rateCursor = end + TimeGrid
 		case 5: // sustained overload: ≥ 2x offered load for ≥ 1 ms
 			room := prof.Horizon - rateCursor
-			if room < overloadMinDur+4*timeGrid {
+			if room < overloadMinDur+4*TimeGrid {
 				continue
 			}
 			start := quant(rateCursor + simtime.Time(r.Float64()*float64(room-overloadMinDur)*0.5))
@@ -187,7 +189,7 @@ func RandomPlan(r *rng.Rand, prof Profile) *Plan {
 			factor := 2 + r.Float64()*2 // 2x .. 4x
 			plan.Events = append(plan.Events, Event{At: start, Kind: RateBurst, RateFactor: factor})
 			plan.Events = append(plan.Events, Event{At: start + dur, Kind: RateBurst, RateFactor: 1})
-			rateCursor = start + dur + timeGrid
+			rateCursor = start + dur + TimeGrid
 		case 6: // silent corruption → recover (sharing the device cursor
 			// keeps corruption windows disjoint from outages by construction)
 			dev := r.Intn(prof.Devices)
@@ -206,7 +208,7 @@ func RandomPlan(r *rng.Rand, prof Profile) *Plan {
 				continue
 			}
 			plan.Events = append(plan.Events, Event{At: end, Kind: CorruptRecover, Device: dev})
-			devCursor[dev] = end + timeGrid
+			devCursor[dev] = end + TimeGrid
 		}
 	}
 

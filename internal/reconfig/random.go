@@ -3,6 +3,7 @@ package reconfig
 import (
 	"fmt"
 
+	"nba/internal/fault"
 	"nba/internal/rng"
 	"nba/internal/simtime"
 )
@@ -36,11 +37,6 @@ func (p Profile) withDefaults() Profile {
 	return p
 }
 
-// timeGrid quantises generated epoch times so plans are stable, diffable
-// and shrink to tidy reproducers. It matches the fault generator's grid, so
-// same-tick reconfig+fault collisions occur naturally in chaos sweeps.
-const timeGrid = 10 * simtime.Microsecond
-
 // RandomPlan generates a valid, bounded reconfiguration plan from the
 // seeded rng — the chaos-search input generator for control-plane churn.
 // Plans are valid by construction (a per-tenant lifecycle cursor admits
@@ -55,14 +51,6 @@ func RandomPlan(r *rng.Rand, prof Profile) *Plan {
 	prof = prof.withDefaults()
 	if prof.Horizon <= 0 {
 		panic(fmt.Sprintf("reconfig: RandomPlan horizon %v", prof.Horizon))
-	}
-
-	quant := func(t simtime.Time) simtime.Time {
-		q := t / timeGrid * timeGrid
-		if q < 0 {
-			q = 0
-		}
-		return q
 	}
 
 	// Mutable tenant pools: admits move a name latent→active, evicts move
@@ -80,10 +68,11 @@ func RandomPlan(r *rng.Rand, prof Profile) *Plan {
 	// ok is false when the horizon has run out of room.
 	next := func() (at simtime.Time, ok bool) {
 		room := prof.Horizon - cursor
-		if room < 4*timeGrid {
+		if room < 4*fault.TimeGrid {
 			return 0, false
 		}
-		at = quant(cursor + simtime.Time(r.Float64()*float64(room)*0.5))
+		// Epoch times sit on the fault generator's grid.
+		at = (cursor + simtime.Time(r.Float64()*float64(room)*0.5)) / fault.TimeGrid * fault.TimeGrid
 		if at < cursor {
 			at = cursor
 		}
@@ -159,7 +148,7 @@ func RandomPlan(r *rng.Rand, prof Profile) *Plan {
 			capacity := lo + r.Intn(2*prof.QueueCapacity-lo+1)
 			plan.Events = append(plan.Events, Event{At: at, Kind: QueueResize, Port: port, Capacity: capacity})
 		}
-		cursor = at + timeGrid
+		cursor = at + fault.TimeGrid
 	}
 
 	if err := plan.Validate(prof.Initial, prof.Latent, prof.Devices, prof.Ports); err != nil {

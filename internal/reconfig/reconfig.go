@@ -78,39 +78,45 @@ func (k Kind) String() string {
 	return "unknown"
 }
 
-// KindFromString parses a Kind's String form (reproducer plan files).
-func KindFromString(s string) (Kind, error) {
+// MarshalText encodes the kind by its String form, the name reproducer
+// files carry.
+func (k Kind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+// UnmarshalText parses a kind name written by MarshalText.
+func (k *Kind) UnmarshalText(b []byte) error {
 	for i, name := range kindNames {
-		if name == s {
-			return Kind(i), nil
+		if name == string(b) {
+			*k = Kind(i)
+			return nil
 		}
 	}
-	return 0, fmt.Errorf("reconfig: unknown kind %q", s)
+	return fmt.Errorf("reconfig: unknown kind %q", b)
 }
 
 // Event is one scheduled reconfiguration. Only the fields relevant to the
-// Kind are read; the rest stay zero.
+// Kind are read; the rest stay zero. The JSON form is the reproducer-file
+// event (times in picoseconds, the kind by name, zero fields omitted).
 type Event struct {
 	// At is the virtual time the epoch begins.
-	At   simtime.Time
-	Kind Kind
+	At   simtime.Time `json:"at_ps"`
+	Kind Kind         `json:"kind"`
 
 	// Tenant names the target of tenant events. Admit targets must name a
 	// latent tenant from core.Config.LatentTenants; evict and retune
 	// targets must name a tenant active at Event.At.
-	Tenant string
+	Tenant string `json:"tenant,omitempty"`
 	// Share is the new traffic share (ShareRetune, required > 0) or an
 	// override of the latent tenant's configured share (TenantAdmit,
 	// 0 = keep the configured share).
-	Share float64
+	Share float64 `json:"share,omitempty"`
 
 	// Device indexes Topology.Devices (plug/unplug events).
-	Device int
+	Device int `json:"device,omitempty"`
 
 	// Port indexes Topology.Ports (QueueResize; -1 targets every port) and
 	// Capacity is the new per-ring capacity in packets (required >= 1).
-	Port     int
-	Capacity int
+	Port     int `json:"port,omitempty"`
+	Capacity int `json:"capacity,omitempty"`
 }
 
 // Plan is a scripted reconfiguration timeline. The zero value is an empty

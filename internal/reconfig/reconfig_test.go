@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"nba/internal/fault"
 	"nba/internal/rng"
 	"nba/internal/simtime"
 )
@@ -163,13 +164,15 @@ func TestChurnIsValid(t *testing.T) {
 // TestKindStringRoundTrip pins the reproducer-file encoding of every kind.
 func TestKindStringRoundTrip(t *testing.T) {
 	for k := Kind(0); k < numKinds; k++ {
-		got, err := KindFromString(k.String())
-		if err != nil || got != k {
-			t.Errorf("kind %d round-trip: got %d, err %v", k, got, err)
+		text, _ := k.MarshalText()
+		var got Kind
+		if err := got.UnmarshalText(text); err != nil || got != k || string(text) != k.String() {
+			t.Errorf("kind %d round-trip via %q: got %d, err %v", k, text, got, err)
 		}
 	}
-	if _, err := KindFromString("bogus"); err == nil {
-		t.Error("KindFromString accepted an unknown name")
+	var k Kind
+	if err := k.UnmarshalText([]byte("bogus")); err == nil {
+		t.Error("UnmarshalText accepted an unknown name")
 	}
 }
 
@@ -202,7 +205,7 @@ func TestRandomPlanValidAndDeterministic(t *testing.T) {
 			if ev.At < 0 || ev.At >= prof.Horizon {
 				t.Fatalf("seed %d: event outside horizon: %+v", seed, ev)
 			}
-			if ev.At%timeGrid != 0 {
+			if ev.At%fault.TimeGrid != 0 {
 				t.Fatalf("seed %d: event off the time grid: %+v", seed, ev)
 			}
 		}

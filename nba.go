@@ -21,6 +21,11 @@
 //	report, err := sys.Run()
 //	fmt.Println(report.TxGbps)
 //
+// Run timelines are data: Config.FaultPlan scripts device, NIC-queue and
+// offered-load changes (a fault.RateBurst scales the offered load mid-run;
+// a second burst with factor 1 restores it), Config.GeneratorChanges swap
+// the traffic mix, and Config.Reconfig scripts control-plane epochs.
+//
 // See DESIGN.md for the architecture and EXPERIMENTS.md for the
 // paper-vs-measured record.
 package nba
@@ -55,9 +60,6 @@ type System = core.System
 
 // Report is the outcome of a run.
 type Report = core.Report
-
-// RateChange alters the offered load mid-run.
-type RateChange = core.RateChange
 
 // NewSystem builds a system from the configuration.
 func NewSystem(cfg Config) (*System, error) { return core.NewSystem(cfg) }

@@ -5,7 +5,10 @@
 #   1. gofmt -l           formatting (whole tree, fixtures included)
 #   2. go vet ./...       stdlib vet analyzers
 #   3. go build ./...     everything compiles
-#   4. nbalint ./...      framework determinism & invariant lint (cmd/nbalint):
+#   4. perfbench vet      go -C perfbench vet ./...: the benchmark's own module
+#                         (perfbench/, which root ./... does not cover) still
+#                         compiles against this tree's APIs
+#   5. nbalint ./...      framework determinism & invariant lint (cmd/nbalint):
 #                         per-file rules plus the interprocedural detflow /
 #                         aliasflow / hotalloc / sharedstate rules over one
 #                         shared type-checked module. Runs with -audit-allows
@@ -14,17 +17,18 @@
 #                         -format json so the machine-readable findings /
 #                         allow counts / timings land in an artifact file
 #                         ($NBALINT_JSON, default nbalint.json under mktemp)
-#   5. go test -race ...  full test suite under the race detector
-#   6. fuzz smoke         a few seconds per fuzz target (conflang round-trip,
-#                         packet header parsing) to catch shallow regressions
-#   7. nbatrace self-check every scenario in internal/bench (nbatrace
+#   6. go test -race ...  full test suite under the race detector
+#   7. fuzz smoke         a few seconds per fuzz target (conflang round-trip,
+#                         packet header parsing, fault-plan JSON and chaos
+#                         reproducer round-trips) to catch shallow regressions
+#   8. nbatrace self-check every scenario in internal/bench (nbatrace
 #                         scenarios: the plain golden runs plus the armed ones
 #                         with a GPU outage, overload control under a load
 #                         burst, a silent-corruption window with the sentinel
 #                         armed, co-resident tenants and tenant churn) is
 #                         recorded twice and must diff to zero divergence
 #                         (dynamic determinism gate)
-#   8. chaos smoke        fixed-seed nbachaos sweeps (every app, a couple of
+#   9. chaos smoke        fixed-seed nbachaos sweeps (every app, a couple of
 #                         seeds; then 2-tenant co-residency with
 #                         tenant-targeted fault plans; then -reconfig cases
 #                         layering random control-plane churn over the fault
@@ -34,7 +38,7 @@
 #                         both contained (sentinel sampling) and leaking
 #                         (sampling disarmed), exercising the replay
 #                         exit-code contract (0/1/2)
-#   9. parallel equiv     the same sweeps at -parallel 1 and -parallel 8 must
+#  10. parallel equiv     the same sweeps at -parallel 1 and -parallel 8 must
 #                         print byte-identical combined digests (internal/par
 #                         determinism contract; the tenant sweep also folds
 #                         every per-tenant sub-digest into the combined one)
@@ -59,6 +63,9 @@ go vet ./...
 echo "==> go build ./..."
 go build ./...
 
+echo "==> go -C perfbench vet ./... (the benchmark module compiles against this tree)"
+go -C perfbench vet ./...
+
 echo "==> nbalint -audit-allows ./... (interprocedural rules, budget, json artifact)"
 lint_json="${NBALINT_JSON:-$(mktemp -d)/nbalint.json}"
 # One invocation serves as gate and artifact: the module is type-checked once
@@ -77,6 +84,8 @@ echo "==> fuzz smoke (a few seconds per target)"
 go test -fuzz='^FuzzParsePrint$' -fuzztime=5s -run '^$' ./internal/conflang
 go test -fuzz='^FuzzHeaderParse$' -fuzztime=5s -run '^$' ./internal/packet
 go test -fuzz='^FuzzBuildUDP4$' -fuzztime=5s -run '^$' ./internal/packet
+go test -fuzz='^FuzzPlanJSON$' -fuzztime=5s -run '^$' ./internal/fault
+go test -fuzz='^FuzzReproRoundTrip$' -fuzztime=5s -run '^$' ./internal/chaos
 
 echo "==> nbatrace determinism self-check"
 tracedir=$(mktemp -d)
